@@ -10,16 +10,6 @@ can diff the perf trajectory.  Tracked metrics:
 * **vm** — steps/second of the interpreter on the Figure-6 workloads,
   compiled dispatch vs. the legacy ``isinstance``-ladder path (kept in-tree
   as the reference semantics);
-* **vm_superblock** — the three-tier VM: legacy vs compiled vs superblock
-  (fused hot-chain traces, :mod:`repro.vm.compiler`) steps/s both cold
-  (fresh interpreter per run — the superblock column pays chain selection
-  and codegen) and steady-state (one interpreter per program, warmed past
-  the trace JIT threshold, then timed over repeat ``run_many`` batches —
-  the superblock headline, expected ≥1.5× compiled), plus the figure-6/7
-  measurement loop driven through batched multi-input execution
-  (:class:`~repro.evaluation.sharding.ShardBatch` /
-  :meth:`~repro.vm.batch.VMBatch.run_many`), compiled vs superblock
-  dispatch, both asserted row-identical to the serial reference;
 * **fig6_measure_loop** — the overhead-*measurement* loop of Figures 6/7:
   executing every built variant in the VM to collect dynamic cycle counts,
   compiled vs. legacy dispatch;
@@ -36,8 +26,9 @@ can diff the perf trajectory.  Tracked metrics:
 * **fig8_diff_phase** — the diffing phase of the figure-8 precision matrix
   against a warm variant cache: the ``FeatureIndex`` fast path vs the legacy
   per-diff extraction (``REPRO_DIFF_FEATURES=legacy``) and the process
-  executor at ``jobs=2``; both alternates are asserted row-identical to the
-  indexed serial run;
+  executor at ``jobs=2`` (workers read the variants from a store tree warmed
+  beforehand); both alternates are asserted row-identical to the indexed
+  serial run;
 * **fig67_sharded** — the figure-6/7 overhead matrix through the sharded
   scheduler (:mod:`repro.evaluation.sharding`) and the shared artifact store
   (``REPRO_STORE_DIR``): serial vs ``jobs=2`` row-identity, cold vs
@@ -57,13 +48,11 @@ can diff the perf trajectory.  Tracked metrics:
   asserted row-identical; a warm run must adopt every per-function diff
   payload from the tree, re-score **zero** units and rebuild **zero**
   ``FeatureIndex`` payloads;
-* **fault_overhead** — the cost of the supervision layer when nothing
-  fails: the fig8 function-sharded matrix at ``jobs=2`` over one warm tree,
-  supervised scheduler vs the PR 5 ``pool.map`` path
-  (``REPRO_EXECUTOR=legacy``), checkpointing disabled so neither arm
-  resume-short-circuits; both row sets asserted identical to the serial
-  reference (acceptance: supervised within 5% of legacy — informational
-  here, timing assertions stay out of --smoke);
+* **fault_overhead** — the supervised scheduler when nothing fails: the
+  fig8 function-sharded matrix at ``jobs=2`` over one warm tree,
+  checkpointing disabled so the run cannot resume-short-circuit; the rows
+  are asserted identical to the serial reference (timing assertions stay
+  out of --smoke);
 * **telemetry_overhead** — what :mod:`repro.obs` costs: VM steady-state
   steps/s with tracing enabled vs disabled, and the warm fig8
   function-sharded matrix at ``jobs=2`` (checkpointing off, like
@@ -74,8 +63,6 @@ can diff the perf trajectory.  Tracked metrics:
   traced run's merged telemetry is folded back in as a per-phase
   self-time summary (``scripts/trace_report.py`` is the interactive view).
 
-Set ``REPRO_VARIANT_CACHE_DIR`` to also exercise the legacy disk-persisted
-variant cache (save → reload round trip; adds a ``disk_cache`` section).
 ``REPRO_STORE_DIR`` anchors the fig67 store tree (a fresh subtree per run);
 unset, a temp directory is used.
 
@@ -98,25 +85,22 @@ from typing import Callable, Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from repro.core.variant_cache import (VariantCache,     # noqa: E402
-                                      cache_file_path)
+from repro.core.variant_cache import VariantCache       # noqa: E402
 from repro.diffing.index import clear_index_cache       # noqa: E402
 from repro.evaluation.overhead import measure_overhead  # noqa: E402
 from repro.evaluation.precision import measure_precision  # noqa: E402
 from repro.opt.pipelines import optimize_program        # noqa: E402
 from repro.backend.lowering import lower_program        # noqa: E402
 from repro.core.obfuscator import obfuscate             # noqa: E402
-from repro.evaluation.sharding import ShardBatch        # noqa: E402
-from repro.vm.machine import (DISPATCH_TIERS,           # noqa: E402
-                              Interpreter, run_program)
+from repro.vm.machine import Interpreter, run_program   # noqa: E402
 from repro.workloads.suites import (spec2006_programs,  # noqa: E402
                                     spec2017_programs)
 
 MEASURE_LABELS = ("fission", "fufi.ori")
 
 #: Keys every result file must contain (checked by --smoke).
-REQUIRED_KEYS = ("schema", "config", "vm", "vm_superblock",
-                 "fig6_measure_loop", "fig6_end_to_end", "pipeline",
+REQUIRED_KEYS = ("schema", "config", "vm", "fig6_measure_loop",
+                 "fig6_end_to_end", "pipeline",
                  "variant_cache", "fig8_diff_phase", "fig67_sharded",
                  "fig8_function_sharded", "fault_overhead",
                  "verify_overhead", "telemetry_overhead", "remote_store")
@@ -137,16 +121,16 @@ def bench_vm(programs, reps: int) -> Dict[str, object]:
     # verify both dispatchers agree before timing anything
     steps = 0
     for program in built:
-        legacy = run_program(program, compiled=False)
-        fast = run_program(program, compiled=True)
+        legacy = run_program(program, dispatch="legacy")
+        fast = run_program(program, dispatch="compiled")
         assert legacy.observable() == fast.observable()
         assert legacy.cycles == fast.cycles and legacy.steps == fast.steps
         steps += legacy.steps
 
     legacy_s = best_of(
-        lambda: [run_program(p, compiled=False) for p in built], reps)
+        lambda: [run_program(p, dispatch="legacy") for p in built], reps)
     compiled_s = best_of(
-        lambda: [run_program(p, compiled=True) for p in built], reps)
+        lambda: [run_program(p, dispatch="compiled") for p in built], reps)
     return {
         "programs": [wp.name for wp in programs],
         "steps": steps,
@@ -155,100 +139,6 @@ def bench_vm(programs, reps: int) -> Dict[str, object]:
         "steps_per_sec_legacy": int(steps / legacy_s),
         "steps_per_sec_compiled": int(steps / compiled_s),
         "speedup": round(legacy_s / compiled_s, 2),
-    }
-
-
-def bench_vm_superblock(vm_programs, loop_programs, reps: int,
-                        batch: int) -> Dict[str, object]:
-    """The three-tier VM: superblock traces vs compiled blocks vs legacy.
-
-    ``cold`` times a fresh interpreter per run — the superblock column pays
-    chain selection and trace codegen on top of execution.  ``steady`` is
-    the headline: one interpreter per program, warmed past the trace JIT
-    threshold, then timed over repeat :meth:`Interpreter.run_many` batches —
-    the regime the batched figure drivers run in.  ``fig67_batched`` drives
-    the figure-6/7 measurement matrix through
-    :class:`~repro.evaluation.sharding.ShardBatch` with a ``batch``-input
-    ``run_many`` per variant (one interpreter, per-input envs, amortized
-    setup), compiled vs superblock dispatch; both row sets are asserted
-    identical to the serial :func:`measure_overhead` reference before any
-    timing is taken.
-    """
-    built = [wp.build() for wp in vm_programs]
-    # verify all three tiers agree before timing anything
-    steps = 0
-    for program in built:
-        reference = run_program(program, dispatch="legacy")
-        for tier in ("compiled", "superblock"):
-            result = run_program(program, dispatch=tier)
-            assert result.observable() == reference.observable()
-            assert (result.cycles, result.steps) == (reference.cycles,
-                                                     reference.steps)
-        steps += reference.steps
-
-    cold = {}
-    for tier in DISPATCH_TIERS:
-        cold_s = best_of(
-            lambda t=tier: [run_program(p, dispatch=t) for p in built], reps)
-        cold[tier] = {"s": round(cold_s, 4),
-                      "steps_per_sec": int(steps / cold_s)}
-
-    warmup_runs, timed_runs = 16, 8
-    warm_sets = tuple(() for _ in range(warmup_runs))
-    timed_sets = tuple(() for _ in range(timed_runs))
-    steady = {}
-    for tier in DISPATCH_TIERS:
-        interpreters = [Interpreter(program, dispatch=tier)
-                        for program in built]
-        for interpreter in interpreters:
-            interpreter.run_many(warm_sets)
-        steady_s = best_of(
-            lambda vms=interpreters: [vm.run_many(timed_sets) for vm in vms],
-            reps)
-        steady[tier] = {"s": round(steady_s, 4),
-                        "steps_per_sec": int(steps * timed_runs / steady_s)}
-
-    labels = MEASURE_LABELS
-    reference_rows = measure_overhead(loop_programs, labels=labels,
-                                      jobs=1).rows
-    # warm the build cache so the timed columns measure the VM, not builds
-    cache = VariantCache()
-    measure_overhead(loop_programs, labels=labels, cache=cache)
-    batch_sets = tuple(() for _ in range(batch))
-
-    def batched_rows(dispatch: str):
-        rows = []
-        for workload in loop_programs:
-            shard = ShardBatch(workload, None, cache, input_sets=batch_sets,
-                               dispatch=dispatch)
-            rows.extend(shard.rows(labels))
-        return rows
-
-    identical = {tier: batched_rows(tier) == reference_rows
-                 for tier in ("compiled", "superblock")}
-    compiled_batched_s = best_of(lambda: batched_rows("compiled"),
-                                 max(1, reps // 2))
-    superblock_batched_s = best_of(lambda: batched_rows("superblock"),
-                                   max(1, reps // 2))
-
-    return {
-        "programs": [wp.name for wp in vm_programs],
-        "steps": steps,
-        "cold": cold,
-        "steady": {"warmup_runs": warmup_runs, "timed_runs": timed_runs,
-                   "tiers": steady},
-        "steady_superblock_vs_compiled": round(
-            steady["compiled"]["s"] / steady["superblock"]["s"], 2),
-        "fig67_batched": {
-            "programs": [wp.name for wp in loop_programs],
-            "labels": list(labels),
-            "batch": batch,
-            "rows": len(reference_rows),
-            "compiled_s": round(compiled_batched_s, 4),
-            "superblock_s": round(superblock_batched_s, 4),
-            "speedup": round(compiled_batched_s / superblock_batched_s, 2),
-            "identical": identical,
-        },
     }
 
 
@@ -270,9 +160,9 @@ def _build_variants(programs) -> List:
 def bench_fig6_measure_loop(programs, reps: int) -> Dict[str, object]:
     variants = _build_variants(programs)
     legacy_s = best_of(
-        lambda: [run_program(v, compiled=False) for v in variants], reps)
+        lambda: [run_program(v, dispatch="legacy") for v in variants], reps)
     compiled_s = best_of(
-        lambda: [run_program(v, compiled=True) for v in variants], reps)
+        lambda: [run_program(v, dispatch="compiled") for v in variants], reps)
     return {
         "programs": [wp.name for wp in programs],
         "labels": list(MEASURE_LABELS),
@@ -358,6 +248,9 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
     extraction and the process executor at ``jobs=2``; the three reports
     must be row-identical (``identical`` — a structural check, not a timing).
     """
+    from repro.evaluation.executor import reset_worker_cache
+    from repro.store import ArtifactStore
+
     cache = VariantCache()
     labels = MEASURE_LABELS
     # pin the feature path per measurement (and restore any ambient value at
@@ -375,24 +268,27 @@ def bench_fig8_diff_phase(programs, reps: int) -> Dict[str, object]:
         legacy_s = best_of(lambda: run_with("legacy"), max(1, reps // 2))
 
         os.environ["REPRO_DIFF_FEATURES"] = "indexed"
-        # hand the executor workers the already-built variants through a
-        # temporary disk cache, so jobs2_s times the diff phase + pool
-        # overhead like the other columns, not variant rebuilding
+        # hand the executor workers the variants through a store tree
+        # warmed beforehand, so jobs2_s times the diff phase + pool overhead
+        # like the other columns, not variant rebuilding
         with tempfile.TemporaryDirectory() as tmpdir:
-            cache.save(cache_file_path(tmpdir))
-            previous_dir = os.environ.get("REPRO_VARIANT_CACHE_DIR")
-            os.environ["REPRO_VARIANT_CACHE_DIR"] = tmpdir
+            stored = VariantCache(store=ArtifactStore.attach(tmpdir))
+            measure_overhead(programs, labels=labels, cache=stored)
+            previous_dir = os.environ.get("REPRO_STORE_DIR")
+            os.environ["REPRO_STORE_DIR"] = tmpdir
             try:
+                reset_worker_cache()
                 gc.collect()
                 start = time.perf_counter()
                 parallel_report = measure_precision(programs, labels=labels,
                                                     jobs=2)
                 jobs2_s = time.perf_counter() - start
             finally:
+                reset_worker_cache()
                 if previous_dir is None:
-                    os.environ.pop("REPRO_VARIANT_CACHE_DIR", None)
+                    os.environ.pop("REPRO_STORE_DIR", None)
                 else:
-                    os.environ["REPRO_VARIANT_CACHE_DIR"] = previous_dir
+                    os.environ["REPRO_STORE_DIR"] = previous_dir
 
         # a cold run re-featurizes every binary once (the indexed timing
         # above amortises the index across reps, like the figure drivers do)
@@ -719,16 +615,14 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
 
 
 def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
-    """What the supervision layer costs when nothing fails.
+    """The supervised scheduler when nothing fails.
 
     Runs the fig8 function-sharded matrix at ``jobs=2`` over one warm store
-    tree twice: once through the supervised scheduler (per-task futures,
-    timeout bookkeeping, retry accounting) and once through the PR 5
-    ``pool.map`` path (``REPRO_EXECUTOR=legacy``).  The tree is warmed
-    first so both arms time scheduling + store reads, not variant builds,
-    and ``REPRO_CHECKPOINT=off`` keeps the checkpoint layer from serving
-    either arm from the run journal.  Acceptance: supervised within 5% of
-    legacy (informational — only the row-identity checks gate --smoke).
+    tree through the supervised scheduler (per-task futures, timeout
+    bookkeeping, retry accounting).  The tree is warmed first so the run
+    times scheduling + store reads, not variant builds, and
+    ``REPRO_CHECKPOINT=off`` keeps the checkpoint layer from serving it
+    from the run journal.  Only the row-identity check gates --smoke.
     """
     from repro.evaluation.diff_sharding import measure_precision_sharded
     from repro.evaluation.executor import reset_worker_cache
@@ -746,7 +640,7 @@ def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
         store_root = cleanup_dir.name
     saved = {name: os.environ.get(name)
              for name in ("REPRO_STORE_DIR", "REPRO_CHECKPOINT",
-                          "REPRO_EXECUTOR", "REPRO_FAULTS")}
+                          "REPRO_FAULTS")}
     os.environ["REPRO_STORE_DIR"] = store_root
     os.environ["REPRO_CHECKPOINT"] = "off"
     os.environ.pop("REPRO_FAULTS", None)
@@ -755,8 +649,7 @@ def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
         reset_worker_cache()
         measure_precision_sharded(programs, labels=labels, jobs=1)
 
-        def timed(mode: str):
-            os.environ["REPRO_EXECUTOR"] = mode
+        def timed():
             reset_worker_cache()
             gc.collect()
             start = time.perf_counter()
@@ -764,11 +657,9 @@ def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
                                                jobs=2)
             return report, time.perf_counter() - start
 
-        supervised, supervised_s = timed("supervised")
-        legacy, legacy_s = timed("legacy")
+        supervised, supervised_s = timed()
         for _ in range(max(0, reps - 1)):
-            supervised_s = min(supervised_s, timed("supervised")[1])
-            legacy_s = min(legacy_s, timed("legacy")[1])
+            supervised_s = min(supervised_s, timed()[1])
     finally:
         reset_worker_cache()
         for name, value in saved.items():
@@ -783,13 +674,9 @@ def bench_fault_overhead(programs, reps: int) -> Dict[str, object]:
         "programs": [wp.name for wp in programs],
         "labels": list(labels),
         "rows": len(reference.rows),
-        "legacy_s": round(legacy_s, 4),
         "supervised_s": round(supervised_s, 4),
-        "overhead_pct": (round((supervised_s - legacy_s) / legacy_s * 100, 2)
-                         if legacy_s else None),
         "identical": {
             "supervised": supervised.rows == reference.rows,
-            "legacy": legacy.rows == reference.rows,
         },
     }
 
@@ -1007,36 +894,6 @@ def bench_verify_overhead(programs, reps: int) -> Dict[str, object]:
     }
 
 
-def bench_disk_cache(programs) -> Dict[str, object]:
-    """Save → reload round trip of the variant cache (REPRO_VARIANT_CACHE_DIR)."""
-    directory = os.environ["REPRO_VARIANT_CACHE_DIR"]
-    path = cache_file_path(directory)
-    cache = VariantCache()
-    if os.path.exists(path):
-        try:
-            cache = VariantCache.load(path)
-        except Exception as error:
-            # e.g. a file written before a version/key-schema bump: start
-            # fresh (builds are deterministic) instead of killing the run
-            print(f"disk cache: ignoring incompatible {path}: {error}",
-                  file=sys.stderr)
-    loaded_entries = len(cache)
-    gc.collect()
-    start = time.perf_counter()
-    measure_overhead(programs, labels=MEASURE_LABELS, cache=cache)
-    build_s = time.perf_counter() - start
-    cache.save(path)
-    reloaded = VariantCache.load(path)
-    return {
-        "path": path,
-        "loaded_entries": loaded_entries,
-        "saved_entries": len(cache),
-        "round_trip_entries": len(reloaded),
-        "round_trip_ok": len(reloaded) == len(cache) and len(reloaded) > 0,
-        "build_s": round(build_s, 4),
-    }
-
-
 def check_results(results: Dict[str, object]) -> List[str]:
     """Structural (timing-independent) sanity checks for --smoke."""
     problems = []
@@ -1046,17 +903,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
     cache = results.get("variant_cache", {})
     if cache and cache.get("fig8", {}).get("hits", 0) <= 0:
         problems.append("variant cache saw no figure-8 hits")
-    fused = results.get("vm_superblock", {})
-    if fused:
-        for tier in ("legacy", "compiled", "superblock"):
-            if tier not in fused.get("steady", {}).get("tiers", {}):
-                problems.append(f"vm_superblock steady section missing the "
-                                f"{tier} tier")
-        identical = fused.get("fig67_batched", {}).get("identical", {})
-        for tier in ("compiled", "superblock"):
-            if not identical.get(tier, False):
-                problems.append(f"batched fig6/7 {tier} rows diverged from "
-                                f"the serial reference")
     e2e = results.get("fig6_end_to_end", {})
     if e2e and e2e.get("cache", {}).get("hits", 0) <= 0:
         problems.append("fig6 end-to-end loop never hit the variant cache")
@@ -1105,11 +951,9 @@ def check_results(results: Dict[str, object]) -> List[str]:
                 "diff_payloads_persisted", 0) <= 0:
             problems.append("cold fig8 shard run persisted no diff payloads")
     faults = results.get("fault_overhead", {})
-    if faults:
-        for name in ("supervised", "legacy"):
-            if not faults.get("identical", {}).get(name, False):
-                problems.append(f"fault_overhead {name} executor run "
-                                f"diverged from the serial reference")
+    if faults and not faults.get("identical", {}).get("supervised", False):
+        problems.append("fault_overhead supervised executor run diverged "
+                        "from the serial reference")
     overhead = results.get("verify_overhead", {})
     if overhead and overhead.get("errors", -1) != 0:
         problems.append("full-tier verification found errors on the fig6 "
@@ -1149,12 +993,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
                          < coalescing.get("objects_served", 0))):
             problems.append("warm remote reads were not coalesced "
                             "(requests >= objects served)")
-    if os.environ.get("REPRO_VARIANT_CACHE_DIR"):
-        disk = results.get("disk_cache")
-        if not disk:
-            problems.append("REPRO_VARIANT_CACHE_DIR set but no disk_cache section")
-        elif not disk.get("round_trip_ok", False):
-            problems.append("variant cache disk round trip failed")
     return problems
 
 
@@ -1173,29 +1011,21 @@ def main(argv=None) -> int:
         vm_programs = spec2006_programs()[:1]
         loop_programs = spec2006_programs()[:1]
         reps = 1
-        batch = 4
     elif args.quick:
         vm_programs = spec2006_programs()[:2]
         loop_programs = spec2006_programs()[:1]
         reps = 2
-        batch = 8
     else:
         vm_programs = spec2006_programs()[:4] + spec2017_programs()[:2]
         loop_programs = spec2006_programs()[:3]
         reps = 5
-        batch = 32
 
     results = {
-        "schema": 10,
+        "schema": 11,
         "config": {"quick": bool(args.quick or args.smoke), "reps": reps,
-                   "batch": batch,
                    "python": sys.version.split()[0],
-                   "variant_cache_dir":
-                       os.environ.get("REPRO_VARIANT_CACHE_DIR") or None,
                    "store_dir": os.environ.get("REPRO_STORE_DIR") or None},
         "vm": bench_vm(vm_programs, reps),
-        "vm_superblock": bench_vm_superblock(vm_programs, loop_programs,
-                                             reps, batch),
         "fig6_measure_loop": bench_fig6_measure_loop(loop_programs, reps),
         "fig6_end_to_end": bench_fig6_end_to_end(loop_programs,
                                                  max(2, reps // 2)),
@@ -1217,8 +1047,6 @@ def main(argv=None) -> int:
         "remote_store": bench_remote_store(loop_programs,
                                            max(1, reps // 2)),
     }
-    if os.environ.get("REPRO_VARIANT_CACHE_DIR"):
-        results["disk_cache"] = bench_disk_cache(loop_programs)
 
     with open(args.out, "w") as fh:
         json.dump(results, fh, indent=2, sort_keys=True)
@@ -1227,15 +1055,6 @@ def main(argv=None) -> int:
     print(f"vm:                {results['vm']['speedup']}x "
           f"({results['vm']['steps_per_sec_compiled']:,} steps/s compiled, "
           f"{results['vm']['steps_per_sec_legacy']:,} legacy)")
-    sb = results["vm_superblock"]
-    tiers = sb["steady"]["tiers"]
-    fb = sb["fig67_batched"]
-    print(f"vm superblock:     steady {tiers['superblock']['steps_per_sec']:,}"
-          f" steps/s vs compiled {tiers['compiled']['steps_per_sec']:,} "
-          f"({sb['steady_superblock_vs_compiled']}x); fig6/7 batched "
-          f"x{fb['batch']}: compiled {fb['compiled_s']}s -> superblock "
-          f"{fb['superblock_s']}s ({fb['speedup']}x, "
-          f"identical={fb['identical']})")
     print(f"fig6 measure loop: {results['fig6_measure_loop']['speedup']}x")
     print(f"fig6 end to end:   {results['fig6_end_to_end']['speedup']}x "
           f"(compiled {results['fig6_end_to_end']['compiled_s']}s, "
@@ -1262,9 +1081,8 @@ def main(argv=None) -> int:
           f"{f8['warm_feature_rebuilds']} feature rebuilds, "
           f"identical={f8['identical']})")
     fo = results["fault_overhead"]
-    print(f"fault overhead:    legacy {fo['legacy_s']}s -> supervised "
-          f"{fo['supervised_s']}s ({fo['overhead_pct']}% overhead, "
-          f"identical={fo['identical']})")
+    print(f"fault overhead:    supervised {fo['supervised_s']}s "
+          f"(identical={fo['identical']})")
     vo = results["verify_overhead"]
     print(f"verify overhead:   cold full {vo['cold_full_s']}s -> warm "
           f"{vo['warm_full_s']}s ({vo['warm_speedup']}x; structural "
@@ -1287,10 +1105,6 @@ def main(argv=None) -> int:
           f"({rs['coordinated_remote']['resumed']} resumed); warm reads "
           f"{rs['warm_read_coalescing']['objects_per_request']} "
           f"objects/request; identical={rs['identical']}")
-    if "disk_cache" in results:
-        dc = results["disk_cache"]
-        print(f"disk cache:        {dc['saved_entries']} entries -> "
-              f"{dc['path']} (round trip ok: {dc['round_trip_ok']})")
     print(f"wrote {args.out}")
 
     if args.smoke:

@@ -6,22 +6,19 @@
 # --smoke (CI mode) runs the minimal matrix into a temp directory and asserts
 # the harness still produces a structurally valid BENCH_results.json — no
 # timing-sensitive assertions, and the tracked results file is not touched.
-# The smoke run also exercises the three-tier VM (the vm_superblock section:
-# legacy/compiled/superblock steady-state steps/s plus the batched fig6/7
-# measurement, asserted row-identical to the serial reference on both the
-# compiled and superblock tiers), the parallel experiment executor (the harness
-# re-runs the figure-8 diff phase at jobs=2 and asserts row-identity), the
-# legacy disk-persisted variant cache (REPRO_VARIANT_CACHE_DIR round trip),
-# the shared artifact store (REPRO_STORE_DIR: the fig67_sharded section
-# must leave a store tree with an objects/ dir and a generation.json
-# manifest, warm attaches must rebuild zero variants) and the
+# The smoke run also exercises the two-tier VM (the vm section: legacy vs
+# compiled dispatch, asserted identical before timing), the parallel
+# experiment executor (the harness re-runs the figure-8 diff phase at jobs=2
+# and asserts row-identity), the shared artifact store (REPRO_STORE_DIR: the
+# fig67_sharded section must leave a store tree with an objects/ dir and a
+# generation.json manifest, warm attaches must rebuild zero variants), the
 # function-granularity diff sharding (fig8_function_sharded: serial vs
 # jobs=2 vs warm-store row identity, warm runs adopt every per-function
 # diff payload and rebuild zero FeatureIndex payloads, and the fig8 store
 # tree must hold objects/diff), and the deep static-analysis subsystem
-# (verify_overhead section, schema 7: the fig6 variant set must verify
-# error-free at the full tier, cold vs AnalysisManager-warm timings vs the
-# uncached build phase).
+# (verify_overhead section: the fig6 variant set must verify error-free at
+# the full tier, cold vs AnalysisManager-warm timings vs the uncached build
+# phase).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,16 +29,11 @@ if [[ "${1:-}" == "--smoke" ]]; then
   tmpdir="$(mktemp -d)"
   trap 'rm -rf "$tmpdir"' EXIT
   out="$tmpdir/BENCH_results.json"
-  export REPRO_VARIANT_CACHE_DIR="$tmpdir/variant-cache"
   export REPRO_STORE_DIR="$tmpdir/store"
-  mkdir -p "$REPRO_VARIANT_CACHE_DIR" "$REPRO_STORE_DIR"
+  mkdir -p "$REPRO_STORE_DIR"
   python benchmarks/perf/run_bench.py --smoke --out "$out" "$@"
   if [[ ! -s "$out" ]]; then
     echo "smoke: $out was not produced" >&2
-    exit 1
-  fi
-  if [[ ! -s "$REPRO_VARIANT_CACHE_DIR/variants.pkl" ]]; then
-    echo "smoke: variant cache was not persisted to disk" >&2
     exit 1
   fi
   store_tree=("$REPRO_STORE_DIR"/fig67-*)
@@ -55,7 +47,6 @@ if [[ "${1:-}" == "--smoke" ]]; then
     exit 1
   fi
   echo "smoke: benchmark harness produced BENCH_results.json"
-  echo "smoke: variant cache persisted and round-tripped"
   echo "smoke: artifact store tree persisted (objects/ + generation.json)"
   echo "smoke: fig8 function-sharded round trip verified (objects/diff persisted, serial == jobs=2 == warm)"
   exit 0

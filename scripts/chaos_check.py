@@ -122,7 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     os.environ.pop("REPRO_STORE_DIR", None)
     os.environ.pop("REPRO_STORE_URL", None)
     os.environ.pop("REPRO_STORE_CACHE_DIR", None)
-    os.environ.pop("REPRO_VARIANT_CACHE_DIR", None)
     os.environ.pop("REPRO_FAULTS", None)
     if args.remote and "remote_fault" not in args.faults:
         args.faults += ";remote_fault:p=0.1,seed=7"

@@ -73,8 +73,8 @@ class AnalysisManager:
 
         ``listener.invalidate_compiled(function)`` is called whenever this
         manager invalidates ``function``'s analyses (``None`` for whole-cache
-        invalidation), keeping interpreter state — compiled blocks, fused
-        superblock traces — in sync with the passes that mutate the IR.
+        invalidation), keeping interpreter state — compiled blocks — in sync
+        with the passes that mutate the IR.
         Listeners are held weakly: a discarded interpreter never keeps
         itself alive through the manager, and dead references are pruned on
         the next notification.

@@ -9,10 +9,9 @@ from .opcode_distance import DistanceReport, figure11, measure_opcode_distance
 from .internals import InternalsReport, InternalsRow, measure_internals, table2
 from .reporting import format_table, matrix_table, overhead_table
 from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experiment
-from .executor import (ExecutorTaskError, executor_mode, reset_worker_cache,
-                       resolve_jobs, resolve_task_retries,
-                       resolve_task_timeout, run_tasks, worker_cache,
-                       worker_cache_events)
+from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
+                       resolve_task_retries, resolve_task_timeout, run_tasks,
+                       worker_cache, worker_cache_events)
 from .faults import (FaultInjected, FaultInjector, FaultRule, active_injector,
                      parse_faults, reset_injector)
 from .checkpoint import (RunManifest, ShardRunStats, checkpoint_enabled,
@@ -32,7 +31,7 @@ __all__ = [
     "InternalsReport", "InternalsRow", "measure_internals", "table2",
     "format_table", "matrix_table", "overhead_table", "EXPERIMENTS",
     "Experiment", "experiment_names", "run_experiment",
-    "ExecutorTaskError", "executor_mode", "reset_worker_cache",
+    "ExecutorTaskError", "reset_worker_cache",
     "resolve_jobs", "resolve_task_retries", "resolve_task_timeout",
     "run_tasks", "worker_cache", "worker_cache_events",
     "FaultInjected", "FaultInjector", "FaultRule", "active_injector",

@@ -201,7 +201,7 @@ _ABSENT = _Sentinel()
 
 def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
                      task_keys: Sequence[object], run_parts: object,
-                     jobs: Optional[int] = None, chunksize: int = 1,
+                     jobs: Optional[int] = None,
                      normalize: Optional[Callable[[Result], Result]] = None,
                      stats: Optional[ShardRunStats] = None) -> List[Result]:
     """:func:`run_tasks` with journaled, resumable shard results.
@@ -229,13 +229,13 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
         with obs_tracing.span("run", cat="coordinate", run_id=identity,
                               tasks=len(tasks)):
             return _run_checkpointed(task_fn, tasks, keys, identity, root,
-                                     jobs, chunksize, normalize, stats)
+                                     jobs, normalize, stats)
 
 
-def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
+def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs,
                       normalize, stats) -> List[Result]:
     if not checkpoint_enabled():
-        return run_tasks(task_fn, tasks, jobs=jobs, chunksize=chunksize)
+        return run_tasks(task_fn, tasks, jobs=jobs)
     try:
         store = store_from_env(max_memory_entries=8)
     except (StoreError, OSError):
@@ -244,7 +244,7 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
         # degradation
         store = None
     if store is None or not store.persistent:
-        return run_tasks(task_fn, tasks, jobs=jobs, chunksize=chunksize)
+        return run_tasks(task_fn, tasks, jobs=jobs)
     if store.root is not None:
         manifest = RunManifest(store.root, identity)
     else:
@@ -291,7 +291,7 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs, chunksize,
                 stats.journaled += 1
 
         run_tasks(task_fn, [tasks[index] for index in pending], jobs=jobs,
-                  chunksize=chunksize, on_result=journal)
+                  on_result=journal)
         obs_metrics.counter("checkpoint.executed", len(pending))
         if stats is not None:
             stats.executed += len(pending)

@@ -131,9 +131,8 @@ def _coordinate_partition(payload: _PartitionPayload
     stats = ShardRunStats()
     with obs_tracing.span("coordinate.partition", cat="coordinate",
                           shards=len(tasks)):
-        results = run_checkpointed(task_fn, tasks, keys, run_parts,
-                                   jobs=1, chunksize=1, normalize=normalize,
-                                   stats=stats)
+        results = run_checkpointed(task_fn, tasks, keys, run_parts, jobs=1,
+                                   normalize=normalize, stats=stats)
     return results, stats.as_dict()
 
 
@@ -177,7 +176,7 @@ def coordinate_tasks(task_fn: Callable[[Task], Result],
                               run_id=identity, workers=len(parts),
                               units=len(tasks)):
             outcomes = run_tasks(_coordinate_partition, payloads,
-                                 jobs=max(1, len(parts)), chunksize=1)
+                                 jobs=max(1, len(parts)))
     results: List[object] = [None] * len(tasks)
     for part, (part_results, run_stats) in zip(parts, outcomes):
         for offset, index in enumerate(part):

@@ -52,7 +52,6 @@ from ..diffing.bindiff import BinDiff
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..opt.pipelines import optimize_program
-from ..store.artifact_store import store_dir_from_env
 from ..store.artifact_store import KIND_DIFF
 from ..store.diff_payloads import (diff_pair_key, load_roster, load_unit,
                                    load_whole, persist_roster, persist_unit,
@@ -360,10 +359,10 @@ def _merged_cells(workloads: Sequence[WorkloadProgram],
                   ) -> List[MergedCell]:
     """Run the sharded matrix and merge each cell deterministically.
 
-    Shards fan out with ``chunksize=1`` — unlike the cell-granular executor
-    path there is no one-workload-per-worker chunking, because the whole
-    point is splitting below a cell; variant reuse across shards comes from
-    the shared store (or each worker's in-memory cache without one).  With
+    Shards fan out one per task — there is no one-workload-per-worker
+    grouping, because the whole point is splitting below a cell; variant
+    reuse across shards comes from the shared store (or each worker's
+    in-memory cache without one).  With
     a store the run checkpoints: each shard's result is journaled on
     completion and revived on a restart instead of re-scored.
     """
@@ -372,8 +371,7 @@ def _merged_cells(workloads: Sequence[WorkloadProgram],
     keys = [diff_shard_key(shard) for shard in shards]
     results = run_checkpointed(_diff_shard, shards, keys,
                                ("fig8-10", tuple(keys)), jobs=jobs,
-                               chunksize=1, normalize=_normalize_resumed,
-                               stats=run_stats)
+                               normalize=_normalize_resumed, stats=run_stats)
     return merge_shard_results(workloads, labels, differs, shards, results,
                                stats)
 
@@ -582,12 +580,7 @@ def measure_bintuner_sharded(workloads: Sequence[WorkloadProgram],
     """
     shards = shard_bintuner_matrix(workloads, tuner_iterations)
     keys = [bintuner_shard_key(shard) for shard in shards]
-    # with a shared store the opt-level references are fetched, not rebuilt,
-    # so the two protection shards of one workload can land anywhere;
-    # without one, chunk them onto the same worker so its in-memory cache
-    # builds each workload's references once instead of once per shard
-    chunksize = 1 if store_dir_from_env() else 2
     results = run_checkpointed(_bintuner_shard, shards, keys,
                                ("fig9", tuple(keys)), jobs=jobs,
-                               chunksize=chunksize, stats=run_stats)
+                               stats=run_stats)
     return bintuner_report_from_results(workloads, results)

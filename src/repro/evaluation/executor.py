@@ -7,8 +7,7 @@ computes the same rows no matter where or when it runs.  That makes the
 matrices embarrassingly parallel — this module fans the cells across worker
 processes while keeping the results bit-identical to a serial run.
 
-Since PR 8 the pool path is a **supervised executor** rather than a bare
-``ProcessPoolExecutor.map``:
+The pool path is a **supervised executor**:
 
 * every task is an individual future carrying a configurable timeout
   (``REPRO_TASK_TIMEOUT``, seconds; unset/0 disables) and a bounded retry
@@ -27,21 +26,16 @@ Since PR 8 the pool path is a **supervised executor** rather than a bare
 * a task that fails every attempt aborts the run cleanly with
   :class:`ExecutorTaskError` carrying the task's identity.
 
-``REPRO_EXECUTOR=legacy`` selects the PR 5 ``pool.map`` scheduler — kept as
-the supervision layer's own differential reference (and the baseline of the
-``fault_overhead`` bench section).  The worker-side task wrapper is where
-seeded chaos (:mod:`repro.faults`, ``REPRO_FAULTS``) injects crashes, hangs
-and task errors; the serial in-process path never injects, so it stays the
-untouched differential reference.
+The worker-side task wrapper is where seeded chaos (:mod:`repro.faults`,
+``REPRO_FAULTS``) injects crashes, hangs and task errors; the serial
+in-process path never injects, so it stays the untouched differential
+reference.
 
 Each worker process keeps one
 :class:`~repro.core.variant_cache.VariantCache` (:func:`worker_cache`); with
 ``REPRO_STORE_DIR`` set, every worker *attaches* to the one shared on-disk
 :class:`~repro.store.artifact_store.ArtifactStore` tree — artifacts built by
-any process are read (not rebuilt) by all the others.  The deprecated
-``REPRO_VARIANT_CACHE_DIR`` is still honoured: pointing at a store tree it
-acts as an alias for ``REPRO_STORE_DIR``; pointing at a legacy
-``variants.pkl`` it seeds each worker's in-memory layer.  ``jobs`` defaults
+any process are read (not rebuilt) by all the others.  ``jobs`` defaults
 to ``REPRO_JOBS`` and, absent that, to 1 — deterministic and tier-1-safe
 with no worker processes at all.
 """
@@ -57,7 +51,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
-from ..core.variant_cache import VariantCache, cache_file_path
+from ..core.variant_cache import VariantCache
 from ..faults import active_injector
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -205,15 +199,6 @@ def _backoff_base() -> float:
     return DEFAULT_TASK_BACKOFF
 
 
-def executor_mode() -> str:
-    """``supervised`` (default) or ``legacy`` (the PR 5 ``pool.map`` path)."""
-    mode = os.environ.get("REPRO_EXECUTOR", "").strip() or "supervised"
-    if mode not in ("supervised", "legacy"):
-        raise ValueError(
-            f"REPRO_EXECUTOR must be 'supervised' or 'legacy', got {mode!r}")
-    return mode
-
-
 class ExecutorTaskError(RuntimeError):
     """A task failed every attempt; carries the task's identity.
 
@@ -239,11 +224,11 @@ class ExecutorTaskError(RuntimeError):
 
 _WORKER_CACHE: Optional[VariantCache] = None
 
-#: Operator-facing counters of worker-cache startup degradations: a corrupt
-#: legacy seed file or an unusable store tree is survivable (builds are
-#: deterministic) but must be *visible*, not silent — a worker that starts
-#: cold because the seed was corrupt looks identical to one that starts
-#: cold because there was no seed, unless these counters say otherwise.
+#: Operator-facing counters of worker-cache startup degradations: an
+#: unusable store tree is survivable (builds are deterministic) but must be
+#: *visible*, not silent — a worker that starts cold because the tree was
+#: unusable looks identical to one that starts cold because there was no
+#: tree, unless these counters say otherwise.
 #: Since the telemetry PR they live in the process-global metrics registry
 #: under this prefix; :func:`worker_cache_events` is a façade over it.
 _CACHE_EVENTS_PREFIX = "executor.cache"
@@ -271,13 +256,11 @@ def _worker_cache_bound() -> Optional[int]:
 def worker_cache() -> VariantCache:
     """The process-local :class:`VariantCache` used by executor tasks.
 
-    Created on first use in each worker.  With ``REPRO_STORE_DIR`` (or a
-    store tree behind the deprecated ``REPRO_VARIANT_CACHE_DIR`` alias) the
-    cache attaches to the shared on-disk artifact store; a legacy
-    ``variants.pkl`` under ``REPRO_VARIANT_CACHE_DIR`` additionally seeds
-    the in-memory layer.  A corrupt or incompatible tree/file is logged and
-    counted (:func:`worker_cache_events`), never fatal — builds are
-    deterministic, so starting cold only costs time.
+    Created on first use in each worker.  With ``REPRO_STORE_DIR`` (or
+    ``REPRO_STORE_URL``) the cache attaches to the shared artifact store.
+    A corrupt or incompatible tree is logged and counted
+    (:func:`worker_cache_events`), never fatal — builds are deterministic,
+    so starting cold only costs time.
     """
     global _WORKER_CACHE
     if _WORKER_CACHE is None:
@@ -288,17 +271,14 @@ def worker_cache() -> VariantCache:
 def worker_cache_events() -> Dict[str, int]:
     """Counters of best-effort worker-cache startups that degraded.
 
-    ``preload_failures`` — legacy ``variants.pkl`` seed files that could not
-    be imported; ``store_attach_failures`` — shared store trees that could
-    not be attached.  Both also emit one ``WARNING`` log line with the
-    cause, so an operator can tell a corrupt seed file from a cold start.
-    (A façade over the :mod:`repro.obs` metrics registry; the dict shape
+    ``store_attach_failures`` — shared store trees that could not be
+    attached.  Each failure also emits one ``WARNING`` log line with the
+    cause, so an operator can tell an unusable tree from a cold start.  (A
+    façade over the :mod:`repro.obs` metrics registry; the dict shape
     predates it.)
     """
     registry = obs_metrics.REGISTRY
-    return {"preload_failures":
-            int(registry.get(f"{_CACHE_EVENTS_PREFIX}.preload_failures")),
-            "store_attach_failures":
+    return {"store_attach_failures":
             int(registry.get(f"{_CACHE_EVENTS_PREFIX}.store_attach_failures"))}
 
 
@@ -319,25 +299,7 @@ def _initial_cache() -> VariantCache:
                 "worker cache: cannot attach store %s (%s: %s); "
                 "building storeless", target, type(error).__name__, error)
             store = None
-    cache = VariantCache(max_entries=bound, store=store)
-    directory = os.environ.get("REPRO_VARIANT_CACHE_DIR")
-    if directory:
-        path = cache_file_path(directory)
-        if os.path.exists(path):
-            try:
-                cache.import_legacy(path)
-            except Exception as error:
-                # best-effort preload: a corrupt, truncated or stale file
-                # (UnpicklingError, AttributeError on renamed classes, ...)
-                # must never kill a worker — builds are deterministic, so
-                # starting empty only costs time.  One warning + a counter
-                # so the degradation is diagnosable, not silent.
-                obs_metrics.counter(
-                    f"{_CACHE_EVENTS_PREFIX}.preload_failures")
-                logger.warning(
-                    "worker cache: preload from %s failed (%s: %s); "
-                    "starting cold", path, type(error).__name__, error)
-    return cache
+    return VariantCache(max_entries=bound, store=store)
 
 
 def reset_worker_cache() -> None:
@@ -597,7 +559,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
 
 
 def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
-              jobs: Optional[int] = None, chunksize: int = 1,
+              jobs: Optional[int] = None,
               timeout: Optional[float] = None, retries: Optional[int] = None,
               on_result: Optional[Callable[[int, Result], None]] = None
               ) -> List[Result]:
@@ -608,9 +570,7 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
     reference.  With more, tasks and results cross process boundaries, so
     both must be picklable and ``task_fn`` must be a module-level callable;
     the supervised scheduler adds per-task timeout, bounded retry, pool
-    respawn and serial degradation (module docstring).  ``chunksize`` only
-    applies to the ``REPRO_EXECUTOR=legacy`` map path — supervision is
-    per-task by construction.
+    respawn and serial degradation (module docstring).
 
     ``on_result(index, result)`` is invoked in the *calling* process as each
     task's result is accepted (completion order, not submission order) —
@@ -629,12 +589,5 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
             results.append(value)
         return results
     workers = min(jobs, len(tasks))
-    if executor_mode() == "legacy":
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task_fn, tasks, chunksize=chunksize))
-        if on_result is not None:
-            for index, value in enumerate(results):
-                on_result(index, value)
-        return results
     return _run_supervised(task_fn, tasks, workers, effective_timeout,
                            effective_retries, on_result)

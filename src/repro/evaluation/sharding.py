@@ -122,10 +122,9 @@ def measure_overhead_sharded(workloads: Sequence[WorkloadProgram],
                              ) -> OverheadReport:
     """The figure-6/7 matrix through the sharded scheduler.
 
-    Fans one shard per workload across the process pool (``chunksize=1`` —
-    shards are already workload-granular, so finer chunking cannot split a
-    workload's builds across workers) and concatenates the per-shard rows in
-    shard order.  Bit-identical to
+    Fans one shard per workload across the process pool (shards are
+    workload-granular, so a workload's builds never split across workers)
+    and concatenates the per-shard rows in shard order.  Bit-identical to
     :func:`~repro.evaluation.overhead.measure_overhead` run serially.
 
     With a shared store attached, every finished shard's row list is
@@ -139,6 +138,6 @@ def measure_overhead_sharded(workloads: Sequence[WorkloadProgram],
     report = OverheadReport()
     for rows in run_checkpointed(_overhead_shard, shards, keys,
                                  ("fig67", tuple(keys)), jobs=jobs,
-                                 chunksize=1, stats=run_stats):
+                                 stats=run_stats):
         report.rows.extend(rows)
     return report

@@ -17,9 +17,8 @@ The subsystem has three pieces:
   obfuscated variant, source function) for the function-granularity diff
   sharding.
 
-``REPRO_STORE_DIR`` names the shared tree; the pre-store
-``REPRO_VARIANT_CACHE_DIR`` single-pickle layout is still honoured (and the
-variable doubles as a store-dir alias when it points at a store tree).
+``REPRO_STORE_DIR`` names the shared tree (``REPRO_STORE_URL`` a remote
+one served by ``scripts/store_server.py``).
 """
 
 from .artifact_store import (CORRUPT_READ_ERRORS, KIND_BINARY, KIND_DIFF,

@@ -114,16 +114,8 @@ def is_store_tree(root: str) -> bool:
 
 
 def store_dir_from_env(environ=os.environ) -> Optional[str]:
-    """The shared store directory: ``REPRO_STORE_DIR``, with the deprecated
-    ``REPRO_VARIANT_CACHE_DIR`` honoured as an alias when it already holds a
-    store tree (a legacy ``variants.pkl``-only directory is not a store)."""
-    explicit = environ.get("REPRO_STORE_DIR")
-    if explicit:
-        return explicit
-    alias = environ.get("REPRO_VARIANT_CACHE_DIR")
-    if alias and is_store_tree(alias):
-        return alias
-    return None
+    """The shared store directory (``REPRO_STORE_DIR``), if any."""
+    return environ.get("REPRO_STORE_DIR") or None
 
 
 def store_url_from_env(environ=os.environ) -> Optional[str]:
@@ -427,20 +419,6 @@ class ArtifactStore:
     def keys(self, kind: str) -> List[object]:
         """The keys of ``kind`` held in the memory layer, LRU order."""
         return [self._keys[slot] for slot in self._memory if slot[0] == kind]
-
-    def memory_items(self, kind: str) -> List[Tuple[object, object]]:
-        """``(key, payload)`` pairs of the memory layer, LRU order."""
-        return [(self._keys[slot], payload)
-                for slot, payload in self._memory.items() if slot[0] == kind]
-
-    def preload(self, kind: str, key: object, payload: object) -> None:
-        """Seed the memory layer without touching disk or any counter.
-
-        Used to import artifacts from the legacy single-pickle cache format:
-        they become ordinary memory entries (subject to the LRU bound) but
-        are not re-persisted — the legacy file stays the owner of its copy.
-        """
-        self._remember((kind, store_digest(kind, key)), key, payload)
 
     # -- memory layer ------------------------------------------------------------
 

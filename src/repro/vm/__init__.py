@@ -3,12 +3,11 @@
 from .batch import VMBatch, run_batch
 from .costs import CostModel, DEFAULT_COST_MODEL, REGISTER_ARG_SLOTS
 from .machine import (DISPATCH_TIERS, ExecutionError, ExecutionResult,
-                      FuncPointer, Interpreter, Pointer, StaleTraceError,
-                      StepLimitExceeded, run_program)
+                      FuncPointer, Interpreter, Pointer, StepLimitExceeded,
+                      run_program)
 
 __all__ = [
     "CostModel", "DEFAULT_COST_MODEL", "DISPATCH_TIERS", "REGISTER_ARG_SLOTS",
     "ExecutionError", "ExecutionResult", "FuncPointer", "Interpreter",
-    "Pointer", "StaleTraceError", "StepLimitExceeded", "VMBatch",
-    "run_batch", "run_program",
+    "Pointer", "StepLimitExceeded", "VMBatch", "run_batch", "run_program",
 ]

@@ -12,10 +12,9 @@ waste.
 (:mod:`repro.evaluation.sharding`) hands to each worker.  Every execution
 goes through :meth:`VMBatch.run_many`: one :class:`~repro.vm.machine.
 Interpreter` per distinct program drives all of the batch's input vectors
-through one compiled-block cache (and, under superblock dispatch, one set
-of fused traces), resetting per input — so interpreter setup, block
-compilation and trace generation are amortised across the whole batch
-instead of paid per run.
+through one compiled-block cache, resetting per input — so interpreter
+setup and block compilation are amortised across the whole batch instead of
+paid per run.
 
 Memo keys prefer content over identity: when the caller can hand over the
 lowered :class:`~repro.backend.binary.Binary`, results are keyed by
@@ -45,17 +44,15 @@ SINGLE_RUN = ((),)
 class VMBatch:
     """Memoised, batched program execution over one measurement batch.
 
-    ``compiled``/``dispatch``/``cost_model``/``max_steps`` pin the execution
+    ``dispatch``/``cost_model``/``max_steps`` pin the execution
     configuration for the whole batch (mixing configurations in one batch
     would let a memoised result cross configurations — create one batch per
     configuration instead).
     """
 
-    def __init__(self, compiled: Optional[bool] = None,
+    def __init__(self, dispatch: Optional[str] = None,
                  cost_model: Optional[CostModel] = None,
-                 max_steps: int = 5_000_000,
-                 dispatch: Optional[str] = None):
-        self.compiled = compiled
+                 max_steps: int = 5_000_000):
         self.dispatch = dispatch
         self.cost_model = cost_model
         self.max_steps = max_steps
@@ -109,7 +106,6 @@ class VMBatch:
         self.metrics.counter("vmbatch.executions", len(sets))
         interpreter = Interpreter(program, cost_model=self.cost_model,
                                   max_steps=self.max_steps,
-                                  compiled=self.compiled,
                                   dispatch=self.dispatch)
         results = interpreter.run_many(sets)
         self._results[key] = ((program, binary), results)
@@ -138,10 +134,9 @@ class VMBatch:
 
 
 def run_batch(programs: Sequence[Program],
-              compiled: Optional[bool] = None,
+              dispatch: Optional[str] = None,
               cost_model: Optional[CostModel] = None,
-              max_steps: int = 5_000_000,
-              dispatch: Optional[str] = None) -> List[ExecutionResult]:
+              max_steps: int = 5_000_000) -> List[ExecutionResult]:
     """Execute a sequence of programs as one batch, in order.
 
     Duplicate program objects are executed once and their result repeated in
@@ -149,6 +144,6 @@ def run_batch(programs: Sequence[Program],
     :func:`~repro.vm.machine.run_program` in a loop (execution is
     deterministic), just without the redundant work.
     """
-    batch = VMBatch(compiled=compiled, cost_model=cost_model,
-                    max_steps=max_steps, dispatch=dispatch)
+    batch = VMBatch(dispatch=dispatch, cost_model=cost_model,
+                    max_steps=max_steps)
     return [batch.run(program) for program in programs]

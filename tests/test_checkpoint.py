@@ -100,7 +100,6 @@ def _keys(values):
 class TestRunCheckpointed:
     def test_no_store_is_plain_pass_through(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         stats = ShardRunStats()
         values = [1, 2, 3]
         out = run_checkpointed(_square, values, _keys(values),

@@ -150,7 +150,6 @@ class TestCoordinatedRemote:
         root = str(tmp_path / "served")
         with StoreServer(root) as server:
             monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-            monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
             monkeypatch.delenv("REPRO_STORE_CACHE_DIR", raising=False)
             monkeypatch.delenv("REPRO_FAULTS", raising=False)
             monkeypatch.setenv("REPRO_STORE_URL", server.url)

@@ -4,7 +4,7 @@ The (program × label × tool) matrices of figures 8, 9 and 10 are pure
 functions of seeded inputs; fanning them across processes must reproduce the
 serial reports exactly (same rows, same order, same floats).  Also covers
 ``resolve_jobs`` / ``REPRO_JOBS`` resolution, the supervised scheduler's
-failure modes (crashed workers, exhausted retries, timeouts, legacy mode),
+failure modes (crashed workers, exhausted retries, timeouts),
 the worker-cache degradation counters and the reworked ``escape_ratio``
 signature.
 """
@@ -18,8 +18,7 @@ import pytest
 from repro.diffing import Asm2Vec, BinDiff, escape_ratio
 from repro.evaluation import (figure9, measure_escape, measure_precision,
                               resolve_jobs, run_tasks)
-from repro.evaluation.executor import (ExecutorTaskError, executor_mode,
-                                       reset_worker_cache,
+from repro.evaluation.executor import (ExecutorTaskError, reset_worker_cache,
                                        resolve_task_retries,
                                        resolve_task_timeout, worker_cache,
                                        worker_cache_events)
@@ -155,15 +154,6 @@ class TestSupervisorKnobs:
         with pytest.raises(ValueError, match="retries"):
             resolve_task_retries(2.5)
 
-    def test_executor_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert executor_mode() == "supervised"
-        monkeypatch.setenv("REPRO_EXECUTOR", "legacy")
-        assert executor_mode() == "legacy"
-        monkeypatch.setenv("REPRO_EXECUTOR", "turbo")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-            executor_mode()
-
 
 class TestSupervisedFailureModes:
     """The failure modes the supervised scheduler exists for."""
@@ -172,7 +162,6 @@ class TestSupervisedFailureModes:
     def _fast_backoff(self, monkeypatch):
         monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
 
     def test_broken_pool_mid_matrix_recovers(self, tmp_path, monkeypatch):
         """A worker hard-exit (BrokenProcessPool) respawns the pool and the
@@ -208,12 +197,11 @@ class TestSupervisedFailureModes:
         assert (tmp_path / "hung").exists()
         assert elapsed < 30  # killed at ~1s, nowhere near the 60s sleep
 
-    def test_legacy_mode_is_selectable_and_identical(self, monkeypatch):
+    def test_supervised_results_match_the_serial_loop(self):
         values = list(range(8))
         supervised = run_tasks(_square, values, jobs=2)
-        monkeypatch.setenv("REPRO_EXECUTOR", "legacy")
-        legacy = run_tasks(_square, values, jobs=2)
-        assert supervised == legacy == [v * v for v in values]
+        serial = run_tasks(_square, values, jobs=1)
+        assert supervised == serial == [v * v for v in values]
 
     def test_on_result_fires_for_every_task(self):
         seen_serial = []
@@ -229,28 +217,6 @@ class TestSupervisedFailureModes:
 class TestWorkerCacheDegradationCounters:
     """Best-effort cache startup must warn + count, never die silently."""
 
-    def test_corrupt_legacy_preload_warns_and_counts(self, tmp_path,
-                                                     monkeypatch, caplog):
-        from repro.core.variant_cache import cache_file_path
-        directory = str(tmp_path / "legacy")
-        os.makedirs(directory)
-        with open(cache_file_path(directory), "wb") as fh:
-            fh.write(b"not a pickle at all")
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", directory)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        reset_worker_cache()
-        try:
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.evaluation.executor"):
-                cache = worker_cache()
-            assert cache is not None  # degraded to a cold start, not dead
-            events = worker_cache_events()
-            assert events["preload_failures"] == 1
-            assert any("preload" in record.message
-                       for record in caplog.records)
-        finally:
-            reset_worker_cache()
-
     def test_unusable_store_tree_warns_and_counts(self, tmp_path,
                                                   monkeypatch, caplog):
         import json
@@ -260,7 +226,6 @@ class TestWorkerCacheDegradationCounters:
             json.dump({"store_schema": 1, "key_schema": 1, "generation": 1},
                       fh)
         monkeypatch.setenv("REPRO_STORE_DIR", root)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         reset_worker_cache()
         try:
             with caplog.at_level(logging.WARNING,
@@ -277,8 +242,7 @@ class TestWorkerCacheDegradationCounters:
 
     def test_counters_start_at_zero(self):
         reset_worker_cache()
-        assert worker_cache_events() == {"preload_failures": 0,
-                                         "store_attach_failures": 0}
+        assert worker_cache_events() == {"store_attach_failures": 0}
 
 
 class TestParallelExperimentsBitIdentical:

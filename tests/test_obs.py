@@ -318,25 +318,6 @@ class TestFacades:
         assert batch.interpreters == 1
         assert batch.memo_hits == 1
 
-    def test_worker_cache_events(self, tmp_path, monkeypatch):
-        from repro.core.variant_cache import cache_file_path
-        from repro.evaluation.executor import (reset_worker_cache,
-                                               worker_cache,
-                                               worker_cache_events)
-
-        legacy = str(tmp_path / "legacy")
-        os.makedirs(legacy)
-        with open(cache_file_path(legacy), "wb") as fh:
-            fh.write(b"not a pickle")
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", legacy)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        reset_worker_cache()
-        try:
-            worker_cache()
-            assert worker_cache_events()["preload_failures"] == 1
-        finally:
-            reset_worker_cache()
-
 
 # -- end-to-end: traced runs stay bit-identical ---------------------------------------
 

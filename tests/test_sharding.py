@@ -6,6 +6,7 @@ order, same cycle counts), and workers attached to a warm shared store must
 rebuild nothing.
 """
 
+import pytest
 
 from repro.core.variant_cache import VariantCache
 from repro.evaluation import (figure6, figure7, measure_overhead,
@@ -72,10 +73,19 @@ class TestShardBatch:
         assert results[0].observable() == reference.observable()
         assert results[0].cycles == reference.cycles
 
-    def test_rows_match_serial_driver(self):
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"input_sets": ((), ()), "dispatch": "legacy"},
+        {"input_sets": ((), ()), "dispatch": "compiled"},
+    ], ids=["default", "two-inputs-legacy", "two-inputs-compiled"])
+    def test_rows_match_serial_driver(self, kwargs):
         serial = measure_overhead(WORKLOADS[:1], labels=LABELS)
-        batch = ShardBatch(WORKLOADS[0], None, VariantCache())
+        batch = ShardBatch(WORKLOADS[0], None, VariantCache(), **kwargs)
         assert batch.rows(LABELS) == serial.rows
+        # one interpreter per distinct variant runs the whole input batch
+        runs = len(kwargs.get("input_sets", ((),)))
+        assert batch.vm.interpreters == len(LABELS) + 1
+        assert batch.vm.executions == runs * (len(LABELS) + 1)
 
 
 class TestShardedBitIdentity:

@@ -12,9 +12,7 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
 * the :class:`GenerationLog` manifest validates warm starts cheaply and an
   incompatible tree is rejected at attach;
 * ``FeatureIndex`` payloads round-trip through the store and warm-start a
-  fresh index;
-* the deprecated ``REPRO_VARIANT_CACHE_DIR`` keeps working — as a legacy
-  ``variants.pkl`` import and as an alias for a store tree.
+  fresh index.
 """
 
 import json
@@ -297,24 +295,12 @@ class TestGenerationLog:
 
 
 class TestEnvResolution:
-    def test_repro_store_dir_wins(self, tmp_path, monkeypatch):
+    def test_repro_store_dir_names_the_tree(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "s"))
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", str(tmp_path / "v"))
         assert store_dir_from_env() == str(tmp_path / "s")
-
-    def test_alias_only_counts_when_it_is_a_store_tree(self, tmp_path,
-                                                       monkeypatch):
-        alias = str(tmp_path / "alias")
-        os.makedirs(alias)
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_VARIANT_CACHE_DIR", alias)
-        assert store_dir_from_env() is None        # legacy dir, not a store
-        ArtifactStore.attach(alias)
-        assert store_dir_from_env() == alias       # now it is one
 
     def test_unset_means_no_store(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         assert store_dir_from_env() is None
 
 

@@ -361,7 +361,6 @@ class TestStoreFromEnv:
     def test_no_env_no_store(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_URL", raising=False)
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         assert store_from_env(max_memory_entries=4) is None
 
     def test_cache_dir_env_wires_the_tier(self, server, tmp_path,
@@ -381,7 +380,6 @@ class TestRemoteDifferential:
 
     def _remote_env(self, monkeypatch, url):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_VARIANT_CACHE_DIR", raising=False)
         monkeypatch.delenv("REPRO_STORE_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_STORE_URL", url)
         monkeypatch.setenv("REPRO_REMOTE_BACKOFF", "0.001")
