@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Generation-aware mark-and-sweep for an artifact-store tree.
 
-A store tree only ever grows: every matrix run appends variants, binaries,
-feature payloads, per-function diff payloads and journaled shard results,
-and nothing ever deletes them.  That is the right default — artifacts are
+A store tree only ever grows: every matrix run appends variants, feature
+payloads, per-function diff payloads and journaled shard results, and
+nothing ever deletes them.  That is the right default — artifacts are
 deterministic and cheap to keep — but a long-lived tree (or a store
 server's tree feeding a fleet) accumulates objects no journal references
 any more: superseded matrices, abandoned label sets, chaos-test leftovers.
@@ -16,9 +16,9 @@ the same files resume reads — so *live* means journal-reachable:
 * each live shard object's envelope carries its value-based key, and the
   key prefix (``diffshard`` / ``fig9shard`` / ``fig67shard``) determines
   which other objects that shard's re-materialisation would read: the
-  baseline/variant pairs (kinds ``variant`` + ``binary``), their feature
-  payloads, and — for diff shards — the pair's roster/whole/unit diff
-  payloads (units enumerated from the stored roster, exactly the reads
+  baseline/variant pairs (kind ``variant``), their feature payloads,
+  and — for diff shards — the pair's roster/whole/unit diff payloads
+  (units enumerated from the stored roster, exactly the reads
   :mod:`repro.evaluation.diff_sharding` performs warm);
 * an unreadable shard envelope or an unknown key prefix flips the sweep
   **conservative**: only unreferenced ``shard`` objects are collected and
@@ -65,8 +65,8 @@ from repro.evaluation.checkpoint import RUNS_DIR, _parse_journal
 from repro.opt.pass_manager import OptOptions
 from repro.store import (CORRUPT_READ_ERRORS, KEY_SCHEMA, OBJECTS_DIR,
                          STORE_SCHEMA, GenerationLog, store_digest)
-from repro.store.artifact_store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES,
-                                        KIND_SHARD, KIND_VARIANT)
+from repro.store.artifact_store import (KIND_DIFF, KIND_FEATURES, KIND_SHARD,
+                                        KIND_VARIANT)
 from repro.store.backend import LocalBackend
 from repro.store.diff_payloads import roster_key, unit_key, whole_key
 from repro.store.feature_payloads import features_key
@@ -75,8 +75,7 @@ from repro.toolchain import obfuscator_for
 
 #: The kinds this tool understands and may sweep.  Anything else in the
 #: tree was written by a newer pipeline and is left strictly alone.
-KNOWN_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF,
-               KIND_SHARD)
+KNOWN_KINDS = (KIND_VARIANT, KIND_FEATURES, KIND_DIFF, KIND_SHARD)
 
 #: Default grace window (seconds): objects younger than this are never
 #: collected, so a concurrent run's not-yet-journaled writes survive.
@@ -108,9 +107,8 @@ def _mark(live: Set[Tuple[str, str]], kind: str, key: object) -> None:
 
 
 def _mark_variant(live: Set[Tuple[str, str]], variant_key: Tuple) -> None:
-    """A built variant is three objects: artifact, lowered binary, features."""
+    """A built variant is two objects: the artifact and its features."""
     _mark(live, KIND_VARIANT, variant_key)
-    _mark(live, KIND_BINARY, variant_key)
     _mark(live, KIND_FEATURES, features_key(variant_key))
 
 

@@ -47,9 +47,13 @@ COMPARE_OPCODES = {"cmp", "test", "ucomisd", "sete", "setne", "setl", "setle",
                    "setg", "setge"}
 
 
-@dataclass
+@dataclass(slots=True)
 class MachineInstruction:
-    """One lowered instruction: an opcode plus textual operands."""
+    """One lowered instruction: an opcode plus textual operands.
+
+    Slotted, like the IR classes: a lowered binary holds thousands of these,
+    and every warm store read unpickles them all.
+    """
 
     opcode: str
     operands: Tuple[str, ...] = ()
@@ -68,8 +72,14 @@ class MachineInstruction:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.text()}>"
 
+    def __reduce__(self):
+        # positional constructor arguments pickle smaller than the default
+        # (class, slot-name -> value) state
+        return (MachineInstruction, (self.opcode, self.operands,
+                                     self.call_target, self.jump_target))
 
-@dataclass
+
+@dataclass(slots=True)
 class MachineBlock:
     """A labelled sequence of machine instructions."""
 

@@ -21,13 +21,13 @@ The subsystem has three pieces:
 one served by ``scripts/store_server.py``).
 """
 
-from .artifact_store import (CORRUPT_READ_ERRORS, KIND_BINARY, KIND_DIFF,
-                             KIND_FEATURES, KIND_SHARD, KIND_VARIANT,
-                             OBJECTS_DIR, QUARANTINE_DIR, STORE_SCHEMA,
-                             ArtifactStore, StoreError, canonical_key,
-                             is_store_tree, store_digest, store_dir_from_env,
-                             store_from_env, store_url_from_env)
-from .backend import (LocalBackend, ObjectRef, RemoteBackend,
+from .artifact_store import (CORRUPT_READ_ERRORS, KIND_DIFF, KIND_FEATURES,
+                             KIND_SHARD, KIND_VARIANT, OBJECTS_DIR,
+                             STORE_SCHEMA, ArtifactStore, StoreError,
+                             canonical_key, is_store_tree, store_digest,
+                             store_dir_from_env, store_from_env,
+                             store_url_from_env)
+from .backend import (QUARANTINE_DIR, LocalBackend, ObjectRef, RemoteBackend,
                       RemoteStoreError, StoreBackend)
 from .diff_payloads import diff_pair_key
 from .feature_payloads import features_key, persist_features, warm_features
@@ -38,7 +38,7 @@ __all__ = [
     "ArtifactStore", "StoreError", "GenerationLog", "GENERATION_LOG_NAME",
     "StoreBackend", "LocalBackend", "RemoteBackend", "RemoteStoreError",
     "ObjectRef",
-    "KIND_VARIANT", "KIND_BINARY", "KIND_FEATURES", "KIND_DIFF", "KIND_SHARD",
+    "KIND_VARIANT", "KIND_FEATURES", "KIND_DIFF", "KIND_SHARD",
     "OBJECTS_DIR", "QUARANTINE_DIR", "CORRUPT_READ_ERRORS",
     "STORE_SCHEMA", "KEY_SCHEMA", "canonical_key",
     "store_digest", "is_store_tree", "store_dir_from_env", "store_from_env",

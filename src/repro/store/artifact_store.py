@@ -1,8 +1,8 @@
 """Content-addressed artifact store shared by every experiment process.
 
 The evaluation pipeline's artifacts — built variants
-(:class:`~repro.toolchain.BuildArtifact`), lowered
-:class:`~repro.backend.binary.Binary` objects, memoised
+(:class:`~repro.toolchain.BuildArtifact`, each carrying its lowered
+:class:`~repro.backend.binary.Binary`), memoised
 :class:`~repro.diffing.index.FeatureIndex` payloads — are pure functions of
 their configuration: workload synthesis is profile-seeded, every obfuscator
 advertises a seeded ``cache_key()``, and the optimizer is deterministic.
@@ -12,7 +12,7 @@ per *machine* rather than once per process:
 * keys are the frozen tuples of :func:`~repro.core.variant_cache.variant_key`
   (workload profile × obfuscator ``cache_key()`` × ``OptOptions``), hashed
   into a stable content address (:func:`store_digest`) under a *kind*
-  namespace (``"variant"``, ``"binary"``, ``"features"``);
+  namespace (``"variant"``, ``"features"``, ``"diff"``, ``"shard"``);
 * an in-process LRU layer serves repeated lookups without touching disk;
 * the on-disk tree (``objects/<kind>/<aa>/<digest>.pkl``) is written with a
   single-writer atomic protocol — temp file + ``os.replace`` — so any number
@@ -32,8 +32,8 @@ façade over this class.
 from __future__ import annotations
 
 import enum
+import gc
 import hashlib
-import json
 import os
 import pickle
 import time
@@ -43,8 +43,8 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 from ..faults import active_injector
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from .backend import (OBJECTS_DIR, QUARANTINE_DIR, LocalBackend,
-                      RemoteBackend, RemoteStoreError, StoreBackend)
+from .backend import (OBJECTS_DIR, LocalBackend, RemoteBackend,
+                      RemoteStoreError, StoreBackend)
 from .generation_log import GenerationLog
 from .keys import KEY_SCHEMA as _KEY_SCHEMA
 
@@ -52,17 +52,18 @@ T = TypeVar("T")
 
 #: Bump when the object file layout or payload envelope changes incompatibly.
 #: 2: the ``diff`` kind landed (persisted per-function partial diff results).
+#: 3: slotted machine code (``MachineInstruction`` pickles positionally) and
+#: no ``binary`` kind (lowered binaries live only inside their variant).
 #: (The ``shard`` kind and the quarantine subtree are backward-compatible
 #: additions — old trees stay attachable, so no bump.)
 #: Attaching refuses a tree stamped with an older schema (StoreError; the
 #: executor then degrades to storeless builds) — delete or repoint
 #: ``REPRO_STORE_DIR`` to get a fresh tree; artifacts are deterministic, so
 #: repopulating it only costs time.
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
 
 #: The artifact kinds the evaluation pipeline persists.
 KIND_VARIANT = "variant"
-KIND_BINARY = "binary"
 KIND_FEATURES = "features"
 KIND_DIFF = "diff"
 #: Completed shard-unit results journaled by the checkpoint layer (PR 8):
@@ -467,9 +468,17 @@ class ArtifactStore:
     def _decode_envelope(self, kind: str, digest: str, key: object,
                          data: bytes) -> object:
         """Unpickle + validate one serialized envelope; quarantines and
-        returns :data:`_MISSING` on damage (shared by read and prefetch)."""
+        returns :data:`_MISSING` on damage (shared by read and prefetch).
+
+        The cyclic collector is paused around ``pickle.loads`` only
+        (:func:`_loads_collector_paused`).  An unpickled artifact is
+        thousands of fresh container objects, which would otherwise trigger
+        collections that traverse every retained artifact only to find
+        nothing to free.  The collector's state is restored on the success
+        and corrupt-payload paths alike, before any quarantine I/O.
+        """
         try:
-            envelope = pickle.loads(data)
+            envelope = _loads_collector_paused(data)
         except CORRUPT_READ_ERRORS as error:
             # a damaged object is *evidence*, not just a miss: move it to
             # quarantine/ with the cause, count it, and let the caller
@@ -631,6 +640,18 @@ class _Missing:
 
 
 _MISSING = _Missing()
+
+
+def _loads_collector_paused(data: bytes) -> object:
+    """``pickle.loads`` with the cyclic collector paused, then restored to
+    the state it had on entry (whether the load succeeds or raises)."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(data)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _key_note(key: object, limit: int = 120) -> str:

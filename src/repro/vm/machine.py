@@ -729,8 +729,22 @@ def run_program(program: Program, inputs: Optional[Sequence[int]] = None,
                 max_steps: int = 5_000_000,
                 cost_model: Optional[CostModel] = None,
                 dispatch: Optional[str] = None) -> ExecutionResult:
-    """Convenience wrapper: link (if needed), interpret, and return the result."""
+    """Convenience wrapper: link (if needed), interpret, and return the result.
+
+    The interpreter is one-shot, so its compiled blocks, block compiler and
+    intrinsics are dropped before returning.  Their closures refer back to
+    the interpreter; left in place, every call would leave thousands of
+    objects in a reference cycle for the cyclic collector to find.  With
+    them gone, reference counting frees the whole interpreter.  Reusable
+    interpreters (:meth:`Interpreter.run_many`,
+    :class:`~repro.vm.batch.VMBatch`) keep theirs warm.
+    """
     interpreter = Interpreter(program, cost_model=cost_model,
                               max_steps=max_steps, inputs=inputs,
                               dispatch=dispatch)
-    return interpreter.run(args=args)
+    try:
+        return interpreter.run(args=args)
+    finally:
+        interpreter._compiled_blocks = {}
+        interpreter._compiler = None
+        interpreter._intrinsics = {}

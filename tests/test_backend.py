@@ -1,10 +1,13 @@
 """Tests for lowering, the Binary container and opcode histograms."""
 
+import pickle
+
 import pytest
 
 from repro.backend import (disassemble, lower_function, lower_program,
                            normalised_distances, opcode_histogram,
                            opcode_histogram_distance, instruction_category)
+from repro.backend.isa import MachineBlock, MachineInstruction
 from repro.ir import FunctionType, IRBuilder, Module, create_function, I64
 from repro.opt import optimize_program
 
@@ -93,6 +96,41 @@ class TestBinary:
         assert binary.total_instructions == sum(
             f.instruction_count for f in binary.functions)
         assert binary.total_size > binary.total_instructions
+
+
+#: Every scheme of the Figs 6/7 overhead matrix, plus the baseline.
+SCHEMES = ("baseline", "sub", "bog", "fla", "fla-10", "fission", "fusion",
+           "fufi.sep", "fufi.ori", "fufi.all")
+
+
+class TestMachineCodePickling:
+    """Machine code is slotted (no per-instance ``__dict__``) and survives
+    the pickle round trip the artifact store puts it through."""
+
+    def test_machine_code_has_no_instance_dict(self):
+        block = MachineBlock("entry")
+        inst = block.append("mov", "rax", "rdi")
+        assert not hasattr(inst, "__dict__")
+        assert not hasattr(block, "__dict__")
+        with pytest.raises(AttributeError):
+            inst.comment = "slots reject new attributes"
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_lowered_binary_round_trips(self, scheme):
+        from repro.evaluation.overhead import build_variant
+        from repro.workloads.suites import load_suite
+        binary = build_variant(load_suite("spec2006")[0], scheme).binary
+        restored = pickle.loads(pickle.dumps(binary,
+                                             protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored is not binary
+        assert restored.content_digest() == binary.content_digest()
+        for before, after in zip(binary.functions, restored.functions,
+                                 strict=True):
+            assert after.blocks == before.blocks
+            for block in after.blocks:
+                for inst in block.instructions:
+                    assert type(inst) is MachineInstruction
+                    assert isinstance(inst.operands, tuple)
 
 
 class TestHistograms:

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.evaluation.checkpoint import RUNS_DIR
-from repro.store import (KIND_BINARY, KIND_VARIANT, QUARANTINE_DIR,
+from repro.store import (KIND_FEATURES, KIND_VARIANT, QUARANTINE_DIR,
                          ArtifactStore, GenerationLog, store_digest)
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
@@ -32,7 +32,7 @@ def tree(tmp_path):
     store = ArtifactStore.attach(root)
     store.put(KIND_VARIANT, ("a",), 1)
     store.put(KIND_VARIANT, ("b",), 2)
-    store.put(KIND_BINARY, ("c",), b"\x00\x01")
+    store.put(KIND_FEATURES, ("c",), b"\x00\x01")
     return root
 
 

@@ -15,6 +15,7 @@ Covers the tentpole guarantees of the ``repro.store`` subsystem:
   fresh index.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -25,11 +26,12 @@ import pytest
 from repro.core.variant_cache import VariantCache, variant_key
 from repro.diffing.index import clear_index_cache, feature_index
 from repro.evaluation.overhead import build_variant, measure_overhead
-from repro.store import (KIND_BINARY, KIND_DIFF, KIND_FEATURES, KIND_VARIANT,
+from repro.store import (KIND_DIFF, KIND_FEATURES, KIND_SHARD, KIND_VARIANT,
                          QUARANTINE_DIR, ArtifactStore, GenerationLog,
                          StoreError, canonical_key, is_store_tree,
                          persist_features, store_digest, store_dir_from_env,
                          warm_features)
+from repro.store.artifact_store import _MISSING
 from repro.workloads.suites import spec2006_programs
 
 WORKLOADS = spec2006_programs()[:2]
@@ -45,7 +47,8 @@ class TestContentAddressing:
 
     def test_kind_namespaces_are_disjoint(self):
         key = ("k", 1)
-        assert store_digest(KIND_VARIANT, key) != store_digest(KIND_BINARY, key)
+        assert store_digest(KIND_VARIANT, key) != store_digest(KIND_FEATURES,
+                                                               key)
 
     def test_different_keys_different_digests(self):
         a = variant_key(WORKLOADS[0], "baseline")
@@ -130,33 +133,35 @@ class TestDiskLayer:
         assert store.disk_hits == 1
 
     def test_lowered_binary_round_trips_bit_identically(self, tmp_path):
-        """Kind ``binary``: a lowered Binary survives the pickle → disk →
-        unpickle trip with its machine code exactly preserved (content
+        """A variant's lowered Binary survives the pickle → disk → unpickle
+        trip with its (slotted) machine code exactly preserved (content
         digest over functions, blocks, instructions and CFG edges)."""
         from repro.toolchain import obfuscator_for
         root = str(tmp_path / "store")
         store = ArtifactStore.attach(root)
         artifact = build_variant(WORKLOADS[0], "fission")
         key = variant_key(WORKLOADS[0], obfuscator_for("fission"))
-        store.put(KIND_BINARY, key, artifact.binary)
+        store.put(KIND_VARIANT, key, artifact)
 
-        restored = ArtifactStore.attach(root).get(KIND_BINARY, key)
+        restored = ArtifactStore.attach(root).get(KIND_VARIANT, key).binary
         assert restored is not artifact.binary
         assert restored.content_digest() == artifact.binary.content_digest()
         # and the digest is sensitive to actual code differences
         other = build_variant(WORKLOADS[0], "fufi.ori")
         assert other.binary.content_digest() != artifact.binary.content_digest()
 
-    def test_built_variants_persist_their_binary_alongside(self, tmp_path):
-        """A store-backed build writes the lowered binary under kind
-        ``binary`` too, for diff-only consumers of the shared tree."""
+    def test_built_variants_are_stored_once(self, tmp_path):
+        """A store-backed build writes one object, the variant; its lowered
+        binary travels inside it and is not written a second time."""
         from repro.toolchain import obfuscator_for
         root = str(tmp_path / "store")
         cache = VariantCache(store=ArtifactStore.attach(root))
         artifact = build_variant(WORKLOADS[0], "fission", cache=cache)
+        assert cache.store.puts == 1
+        fresh = ArtifactStore.attach(root)
+        assert fresh.warm_entries() == fresh.warm_entries(KIND_VARIANT) == 1
         key = variant_key(WORKLOADS[0], obfuscator_for("fission"))
-        restored = ArtifactStore.attach(root).get(KIND_BINARY, key)
-        assert restored is not None
+        restored = fresh.get(KIND_VARIANT, key).binary
         assert restored.content_digest() == artifact.binary.content_digest()
 
     def test_first_writer_kept(self, tmp_path):
@@ -178,7 +183,7 @@ class TestDiskLayer:
 
 #: Every artifact kind the pipeline persists — damage to any of them must
 #: degrade to a cache miss (builds are deterministic), never to an exception.
-ALL_KINDS = (KIND_VARIANT, KIND_BINARY, KIND_FEATURES, KIND_DIFF)
+ALL_KINDS = (KIND_VARIANT, KIND_FEATURES, KIND_DIFF, KIND_SHARD)
 
 
 class TestCorruptObjectDegradation:
@@ -252,24 +257,26 @@ class TestGenerationLog:
         root = str(tmp_path / "store")
         store = ArtifactStore.attach(root)
         store.put(KIND_VARIANT, ("a",), 1)
-        store.put(KIND_BINARY, ("b",), 2)
+        store.put(KIND_FEATURES, ("b",), 2)
         fresh = ArtifactStore.attach(root)
         assert fresh.warm_entries() == 2
         assert fresh.warm_entries(KIND_VARIANT) == 1
-        assert fresh.warm_entries(KIND_BINARY) == 1
+        assert fresh.warm_entries(KIND_FEATURES) == 1
 
     def test_incompatible_schema_rejected_at_attach(self, tmp_path):
         root = str(tmp_path / "store")
         ArtifactStore.attach(root)
         log = GenerationLog.load(root)
-        log.store_schema += 1
         path = GenerationLog.path_for(root)
-        with open(path, "w") as fh:
-            json.dump({"store_schema": log.store_schema,
-                       "key_schema": log.key_schema,
-                       "generation": 1, "entries": {}}, fh)
-        with pytest.raises(StoreError):
-            ArtifactStore.attach(root)
+        # a newer tree, and a schema-2 tree (unslotted machine code, with
+        # the ``binary`` kind) written before the STORE_SCHEMA 3 bump
+        for stamp in (log.store_schema + 1, 2):
+            with open(path, "w") as fh:
+                json.dump({"store_schema": stamp,
+                           "key_schema": log.key_schema,
+                           "generation": 1, "entries": {}}, fh)
+            with pytest.raises(StoreError):
+                ArtifactStore.attach(root)
 
     def test_damaged_manifest_rejected_at_attach(self, tmp_path):
         root = str(tmp_path / "store")
@@ -579,6 +586,58 @@ def _log_saver_process(root, barrier, rounds):
         log.save(root)
 
 
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestDecodeLeavesCollectorState:
+    """``_decode_envelope`` pauses the cyclic collector around the unpickle
+    only: the caller gets the collector back as it left it, on the success
+    and the quarantine path, and quarantine I/O runs with it restored."""
+
+    @staticmethod
+    def _envelope_bytes(store, key):
+        digest = store.put(KIND_VARIANT, key, ["payload", (1, 2)])
+        with open(store.object_path(KIND_VARIANT, digest), "rb") as fh:
+            return digest, fh.read()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_collector_state_is_restored(self, tmp_store, monkeypatch,
+                                         collecting, damaged):
+        store = ArtifactStore.attach(tmp_store)
+        key = ("gc", collecting, damaged)
+        digest, data = self._envelope_bytes(store, key)
+        if damaged:
+            data = b"\x80corrupt"
+        during_quarantine = []
+        quarantine = store._quarantine
+
+        def spy(*args, **kwargs):
+            during_quarantine.append(gc.isenabled())
+            return quarantine(*args, **kwargs)
+
+        monkeypatch.setattr(store, "_quarantine", spy)
+        was_enabled = gc.isenabled()
+        _set_collector(collecting)
+        try:
+            payload = store._decode_envelope(KIND_VARIANT, digest, key, data)
+            assert gc.isenabled() is collecting
+        finally:
+            _set_collector(was_enabled)
+        if damaged:
+            assert payload is _MISSING
+            assert during_quarantine == [collecting]
+            assert store.corrupt_reads == {"ValueError": 1}
+            assert store.quarantined == 1
+        else:
+            assert payload == ["payload", (1, 2)]
+            assert during_quarantine == []
+
+
 class TestGenerationLogDurability:
     def test_concurrent_savers_keep_manifest_valid(self, tmp_path):
         """Two processes saving the stamp concurrently (merge-on-save):
@@ -620,13 +679,13 @@ class TestGenerationLogDurability:
         root = str(tmp_path / "store")
         store = ArtifactStore.attach(root)
         store.put(KIND_VARIANT, ("keep",), 1)
-        store.put(KIND_BINARY, ("drop",), 2)
+        store.put(KIND_FEATURES, ("drop",), 2)
         log = GenerationLog.load(root)
-        victim = store_digest(KIND_BINARY, ("drop",))
+        victim = store_digest(KIND_FEATURES, ("drop",))
         del log.entries[victim]
         log.rewrite_entries(root)
         reloaded = GenerationLog.load(root)
         assert victim not in reloaded.entries
         assert store_digest(KIND_VARIANT, ("keep",)) in reloaded.entries
         assert reloaded.count(KIND_VARIANT) == 1
-        assert reloaded.count(KIND_BINARY) == 0
+        assert reloaded.count(KIND_FEATURES) == 0

@@ -131,6 +131,25 @@ class TestObfuscatedVariants:
         assert result_tuple(legacy) == result_tuple(fast)
 
     @pytest.mark.parametrize("dispatch", DISPATCH_TIERS)
+    def test_one_shot_run_leaves_no_cyclic_garbage(self, dispatch):
+        """``run_program``'s interpreter is freed by reference counting
+        alone: its compiled blocks, block compiler and intrinsics close over
+        it, and left in place they would hand the collector a cycle of
+        thousands of objects on every call of the Figs 6/7 loop."""
+        workload = load_suite("spec2006")[0]
+        optimized = optimize_program(obfuscate(workload.build(),
+                                               mode="fufi.all").program)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run_program(optimized, dispatch=dispatch)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("dispatch", DISPATCH_TIERS)
     def test_identical_after_control_flow_flattening(self, dispatch):
         """Flattened functions (dispatcher + switch) route every block back
         through the dispatcher; warm reruns must match a fresh legacy run."""
