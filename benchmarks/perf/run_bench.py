@@ -30,7 +30,8 @@ can diff the perf trajectory.  Tracked metrics:
   beforehand); both alternates are asserted row-identical to the indexed
   serial run;
 * **fig67_sharded** — the figure-6/7 overhead matrix through the sharded
-  scheduler (:mod:`repro.evaluation.sharding`) and the shared artifact store
+  scheduler (:func:`repro.evaluation.overhead.measure_overhead_sharded`)
+  and the shared artifact store
   (``REPRO_STORE_DIR``): serial vs ``jobs=2`` row-identity, cold vs
   warm-attach timings, and the store's hit/miss/put counters — a warm attach
   must rebuild **zero** variants;
@@ -499,8 +500,7 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
     Runs the function-sharded matrix cold and warm twice — once attached
     to a local ``REPRO_STORE_DIR`` tree, once through ``REPRO_STORE_URL``
     to a loopback ``scripts/store_server.py`` (every artifact crossing the
-    wire) — then resumes the warm remote tree through the two-partition
-    coordinator.  Server-side request counters make the read coalescing
+    wire).  Server-side request counters make the read coalescing
     visible: a warm remote rerun serves its shard objects out of far fewer
     requests than objects.
     """
@@ -510,8 +510,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
         sys.path.insert(0, scripts)
     from store_server import StoreServer
     from repro.evaluation.checkpoint import ShardRunStats
-    from repro.evaluation.coordinate import (CoordinatorStats,
-                                             measure_precision_coordinated)
     from repro.evaluation.diff_sharding import measure_precision_sharded
     from repro.evaluation.executor import reset_worker_cache
 
@@ -557,15 +555,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
             cold_counters = server_counters(server.state)
             remote_warm, remote_warm_s, remote_warm_stats = timed_sharded()
             warm_counters = server_counters(server.state)
-
-            # the coordinator over the same warm tree: shared journal, so
-            # every partition revives its shards without re-executing
-            reset_worker_cache()
-            coord_stats = CoordinatorStats()
-            start = time.perf_counter()
-            coordinated = measure_precision_coordinated(
-                programs, labels=labels, workers=2, coord_stats=coord_stats)
-            coordinated_s = time.perf_counter() - start
     finally:
         reset_worker_cache()
         for name, value in saved.items():
@@ -589,8 +578,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
                    "warm_executed": remote_warm_stats.executed,
                    "server": {"cold": delta(cold_counters, mark),
                               "warm": warm_delta}},
-        "coordinated_remote": {"seconds": round(coordinated_s, 4),
-                               **coord_stats.as_dict()},
         "remote_overhead": {
             "cold_pct": round((remote_cold_s / local_cold_s - 1) * 100, 1)
             if local_cold_s else None,
@@ -609,7 +596,6 @@ def bench_remote_store(programs, reps: int) -> Dict[str, object]:
             "local_warm": local_warm.rows == reference.rows,
             "remote_cold": remote_cold.rows == reference.rows,
             "remote_warm": remote_warm.rows == reference.rows,
-            "coordinated_remote": coordinated.rows == reference.rows,
         },
     }
 
@@ -980,9 +966,6 @@ def check_results(results: Dict[str, object]) -> List[str]:
         if remote.get("remote", {}).get("warm_executed", -1) != 0:
             problems.append("warm remote fig8 rerun re-executed journaled "
                             "shards")
-        if remote.get("coordinated_remote", {}).get("executed", -1) != 0:
-            problems.append("coordinated remote rerun re-executed "
-                            "journaled shards")
         if remote.get("remote", {}).get("server", {}).get("cold", {}).get(
                 "objects_written", 0) <= 0:
             problems.append("cold remote run wrote no objects through the "
@@ -1100,9 +1083,7 @@ def main(argv=None) -> int:
           f"{rs['local']['warm_s']}s; remote cold {rs['remote']['cold_s']}s "
           f"/ warm {rs['remote']['warm_s']}s "
           f"(overhead {rs['remote_overhead']['cold_pct']}% cold, "
-          f"{rs['remote_overhead']['warm_pct']}% warm); coordinated "
-          f"{rs['coordinated_remote']['seconds']}s "
-          f"({rs['coordinated_remote']['resumed']} resumed); warm reads "
+          f"{rs['remote_overhead']['warm_pct']}% warm); warm reads "
           f"{rs['warm_read_coalescing']['objects_per_request']} "
           f"objects/request; identical={rs['identical']}")
     print(f"wrote {args.out}")

@@ -9,7 +9,7 @@ inspector answers the operator questions the raw files don't:
 * **Where did the wall time go?**  Per-phase *self time* — each span's
   duration minus its children's, so nested regions are not double-counted —
   grouped by category (``build`` / ``measure`` / ``diff`` / ``store`` /
-  ``verify`` / ``coordinate`` / ``task`` / ``other``), with the share of
+  ``verify`` / ``schedule`` / ``task`` / ``other``), with the share of
   busy time attributed to named (non-``other``) phases reported as
   *coverage*.
 * **What did each worker do?**  One lane per pid: busy time, completed
@@ -49,7 +49,7 @@ from repro.obs.collect import merge_records, read_shards  # noqa: E402
 from repro.obs.export import validate_chrome_trace  # noqa: E402
 
 #: The phase categories the pipeline emits, in report order.
-PHASES = ("build", "measure", "diff", "store", "verify", "coordinate",
+PHASES = ("build", "measure", "diff", "store", "verify", "schedule",
           "task", "other")
 
 

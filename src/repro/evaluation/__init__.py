@@ -1,6 +1,7 @@
 """Experiment drivers: one per table / figure of the paper's evaluation."""
 
-from .overhead import OverheadReport, OverheadRow, figure6, figure7, measure_overhead
+from .overhead import (OverheadReport, OverheadRow, figure6, figure7,
+                       measure_overhead, measure_overhead_sharded)
 from .precision import PrecisionReport, PrecisionRow, figure8, measure_precision
 from .escape import (ESCAPE_LABELS, ESCAPE_RANKS, EscapeReport, EscapeRow,
                      figure10, measure_escape)
@@ -12,18 +13,17 @@ from .experiments import EXPERIMENTS, Experiment, experiment_names, run_experime
 from .executor import (ExecutorTaskError, reset_worker_cache, resolve_jobs,
                        resolve_task_retries, resolve_task_timeout, run_tasks,
                        worker_cache, worker_cache_events)
-from .faults import (FaultInjected, FaultInjector, FaultRule, active_injector,
-                     parse_faults, reset_injector)
+from ..faults import (FaultInjected, FaultInjector, FaultRule, active_injector,
+                      parse_faults, reset_injector)
 from .checkpoint import (RunManifest, ShardRunStats, checkpoint_enabled,
                          run_checkpointed, run_id)
-from .sharding import (ShardBatch, measure_overhead_sharded,
-                       shard_overhead_matrix)
 from .diff_sharding import (DiffShardStats, measure_bintuner_sharded,
                             measure_escape_sharded, measure_precision_sharded,
                             resolve_diff_shards, shard_diff_matrix)
 
 __all__ = [
     "OverheadReport", "OverheadRow", "figure6", "figure7", "measure_overhead",
+    "measure_overhead_sharded",
     "PrecisionReport", "PrecisionRow", "figure8", "measure_precision",
     "ESCAPE_LABELS", "ESCAPE_RANKS", "EscapeReport", "EscapeRow", "figure10",
     "measure_escape", "BinTunerReport", "SimilarityRow", "figure9",
@@ -38,7 +38,6 @@ __all__ = [
     "parse_faults", "reset_injector",
     "RunManifest", "ShardRunStats", "checkpoint_enabled", "run_checkpointed",
     "run_id",
-    "ShardBatch", "measure_overhead_sharded", "shard_overhead_matrix",
     "DiffShardStats", "measure_bintuner_sharded", "measure_escape_sharded",
     "measure_precision_sharded", "resolve_diff_shards", "shard_diff_matrix",
 ]

@@ -10,19 +10,11 @@ reports BinTuner's runtime overhead against the O2 + LTO baseline (30.35%).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..baselines.bintuner import BinTuner
-from ..backend.lowering import lower_program
-from ..diffing.bindiff import BinDiff
-from ..opt.pass_manager import OptOptions
-from ..opt.pipelines import optimize_program
-from ..toolchain import build_obfuscated, obfuscator_for
 from ..utils import geometric_mean
-from ..vm.machine import run_program
 from ..workloads.suites import (SPECINT_2006, SPECSPEED_2017, WorkloadProgram,
                                 find_program)
-from .executor import run_tasks
 
 OPT_LEVELS = (0, 1, 2, 3)
 
@@ -60,75 +52,21 @@ def default_programs() -> List[WorkloadProgram]:
     return [find_program(name) for name in names]
 
 
-#: One figure-9 task (a whole workload), picklable for the process executor.
-BinTunerTask = Tuple[WorkloadProgram, int]
-
-
-def _bintuner_task(task: BinTunerTask) -> Tuple[List[SimilarityRow], float]:
-    """Tune, obfuscate and diff one workload against every opt level.
-
-    The unit of work of figure 9; returns the workload's similarity rows plus
-    its BinTuner overhead factor (aggregated by the caller in workload order).
-    """
-    workload, tuner_iterations = task
-    differ = BinDiff()
-    rows: List[SimilarityRow] = []
-
-    level_binaries = {}
-    for level in OPT_LEVELS:
-        options = OptOptions(level=level, lto=level >= 2)
-        level_binaries[level] = lower_program(
-            optimize_program(workload.build(), options))
-
-    tuner = BinTuner(iterations=tuner_iterations)
-    tuned = tuner.tune(workload.build())
-    khaos = build_obfuscated(workload.build(), obfuscator_for("fufi.all"))
-
-    for level in OPT_LEVELS:
-        reference = level_binaries[level]
-        rows.append(SimilarityRow(
-            program=workload.name, protection="bintuner", opt_level=level,
-            similarity=differ.diff(reference, tuned.best_binary).similarity_score))
-        rows.append(SimilarityRow(
-            program=workload.name, protection="khaos", opt_level=level,
-            similarity=differ.diff(reference, khaos.binary).similarity_score))
-
-    # BinTuner overhead vs the O2+LTO baseline (paper: 30.35%)
-    baseline_run = run_program(optimize_program(workload.build(), OptOptions()))
-    tuned_run = run_program(optimize_program(workload.build(),
-                                             tuned.best_options))
-    base = baseline_run.cycles or 1
-    overhead = (tuned_run.cycles - base) / base
-    return rows, overhead
-
-
 def measure_bintuner(workloads: Sequence[WorkloadProgram],
                      tuner_iterations: int = 6,
                      jobs: Optional[int] = None) -> BinTunerReport:
-    """Figure 9's measurement loop.
+    """Figure 9's measurement: one shard per (workload, protection scheme).
 
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards each workload into one task per
-    protection scheme across processes (see
-    :func:`~repro.evaluation.diff_sharding.measure_bintuner_sharded`,
-    binary-pair granularity — the row value is the whole-binary similarity);
-    rows and the overhead geomean are assembled in workload order, so the
-    report is bit-identical to the serial loop, which stays the default and
-    the differential reference.
+    Every width, ``jobs=1`` included, runs the same binary-pair shards
+    through the checkpointed scheduler (see
+    :func:`~repro.evaluation.diff_sharding.measure_bintuner_sharded`): each
+    shard diffs its protected binary against the four opt-level references
+    and the rows are reassembled in workload order, so the report does not
+    depend on ``jobs`` and a run over a shared store tree journals and
+    resumes.
     """
-    from .executor import parallel_matrix
-    if parallel_matrix(jobs, None):
-        from .diff_sharding import measure_bintuner_sharded
-        return measure_bintuner_sharded(workloads, tuner_iterations,
-                                        jobs=jobs)
-    report = BinTunerReport()
-    overheads: List[float] = []
-    tasks: List[BinTunerTask] = [(workload, tuner_iterations)
-                                 for workload in workloads]
-    for rows, overhead in run_tasks(_bintuner_task, tasks, jobs=jobs):
-        report.rows.extend(rows)
-        overheads.append(overhead)
-    report.bintuner_overhead_percent = geometric_mean(overheads) * 100.0
-    return report
+    from .diff_sharding import measure_bintuner_sharded
+    return measure_bintuner_sharded(workloads, tuner_iterations, jobs=jobs)
 
 
 def figure9(limit: Optional[int] = 4,

@@ -1,4 +1,4 @@
-"""Checkpoint/resume for the sharded experiment matrices.
+"""Checkpoint/resume: the one scheduler of the sharded experiment matrices.
 
 A fig6–10 matrix run is a deterministic list of shard units, each a pure
 function of its store key — which means an *interrupted* run (a ``kill -9``,
@@ -33,9 +33,10 @@ quarantined is simply re-executed: the manifest is advisory, the store is
 the truth, exactly like the
 :class:`~repro.store.generation_log.GenerationLog` ledger.
 
-This is the contract a future multi-machine coordinator (ROADMAP item 1)
-partitions work against: shard keys are machine-independent, so "which
-units are finished" is a property of the shared tree, not of any process.
+Shard keys and the run identity do not depend on ``jobs`` or on the
+machine, so "which units are finished" is a property of the shared tree,
+not of any process: a run started at ``jobs=1`` resumes at ``jobs=2`` and
+the other way round.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class RunManifest:
 
     Lives at ``<root>/runs/<run_id>.jsonl``; one JSON line per completed
     shard, appended with a single ``O_APPEND`` write (atomic under POSIX),
-    so concurrent workers of one coordinated run may share a journal and a
-    torn trailing line from a killed process at worst under-reports one
-    shard — which is then re-executed, never mis-resumed.
+    so concurrent writers may share a journal and a torn trailing line
+    from a killed process at worst under-reports one shard — which is then
+    re-executed, never mis-resumed.
     """
 
     def __init__(self, root: str, identity: str):
@@ -145,8 +146,8 @@ class RemoteRunManifest:
     """A :class:`RunManifest` hosted by the store server (``/runs/<id>``).
 
     The journal must live next to the objects it references — GC marks
-    journal-reachable shards live, and a coordinated fleet shares one
-    journal — so a remote-attached run appends its lines through the
+    journal-reachable shards live, and every client of one served tree
+    shares its journals — so a remote-attached run appends its lines through the
     server's ``O_APPEND`` endpoint instead of a local file.  A transient
     append failure under-reports one shard (it re-executes next run —
     safe, and counted in ``store.remote_errors`` by the backend); it
@@ -226,7 +227,7 @@ def run_checkpointed(task_fn: Callable[[Task], Result], tasks: Sequence[Task],
     # a no-op without a store tree or with telemetry disabled, and nested
     # opens defer to the outermost run.
     with open_run(root, identity):
-        with obs_tracing.span("run", cat="coordinate", run_id=identity,
+        with obs_tracing.span("run", cat="schedule", run_id=identity,
                               tasks=len(tasks)):
             return _run_checkpointed(task_fn, tasks, keys, identity, root,
                                      jobs, normalize, stats)
@@ -273,7 +274,7 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs,
             # journaled but lost/quarantined: the store is the truth
         pending.append(index)
     if len(pending) < len(tasks):
-        obs_tracing.event("checkpoint.resume", cat="coordinate",
+        obs_tracing.event("checkpoint.resume", cat="schedule",
                           run_id=identity,
                           resumed=len(tasks) - len(pending),
                           pending=len(pending))
@@ -285,7 +286,7 @@ def _run_checkpointed(task_fn, tasks, keys, identity, root, jobs,
             store.put(KIND_SHARD, keys[index], value)
             manifest.mark_done(digests[index])
             obs_metrics.counter("checkpoint.journaled")
-            obs_tracing.event("checkpoint.journal", cat="coordinate",
+            obs_tracing.event("checkpoint.journal", cat="schedule",
                               shard=digests[index][:12])
             if stats is not None:
                 stats.journaled += 1

@@ -21,22 +21,21 @@ variant, source function), so the matrix shards *below* the cell:
   and persists every unit's outcome under its stable per-function shard key
   (kind ``"diff"``, :mod:`repro.store.diff_payloads`).  A fully warm shard
   never unpickles a binary, extracts a feature or scores a pair — it is pure
-  store reads, which is what lets the diff matrix distribute across machines
-  that share one store tree;
+  store reads, local or through a remote store server;
 * the merge layer (:func:`_merged_cells` +
   :meth:`~repro.diffing.base.BinaryDiffer.merge_partials`) deterministically
   reassembles each cell's :class:`~repro.diffing.base.DiffResult` and report
-  rows **bit-identical** to the serial reference drivers
+  rows **bit-identical** to the serial cell loops
   (:func:`~repro.evaluation.precision.measure_precision`,
-  :func:`~repro.evaluation.escape.measure_escape`,
-  :func:`~repro.evaluation.bintuner_compare.measure_bintuner`), which remain
-  the differential references (``tests/test_diff_sharding.py``).
+  :func:`~repro.evaluation.escape.measure_escape`), which remain the
+  storeless differential references (``tests/test_diff_sharding.py``).
 
 Figure 9's unit stays the binary pair (its row value is the whole-binary
 similarity score and its dominant cost is the BinTuner option search, not a
 single diff): :func:`measure_bintuner_sharded` splits each workload into one
 shard per protection scheme, each diffing its protected binary against the
-four store-keyed opt-level references.
+four store-keyed opt-level references.  It is Figure 9's only driver at every
+width; its per-workload oracle lives in ``tests/test_diff_sharding.py``.
 """
 
 from __future__ import annotations
@@ -385,9 +384,10 @@ def merge_shard_results(workloads: Sequence[WorkloadProgram],
                         ) -> List[MergedCell]:
     """Deterministically reassemble cells from shard results in matrix order.
 
-    ``results[i]`` must be the outcome of ``shards[i]`` — any scheduler
-    (serial, executor pool, multi-worker coordinator) that preserves that
-    pairing merges to identical cells, which is the bit-identity contract.
+    ``results[i]`` must be the outcome of ``shards[i]`` — any width of
+    :func:`~repro.evaluation.checkpoint.run_checkpointed` (which returns
+    results in task order) merges to identical cells, which is the
+    bit-identity contract.
     """
     cells: List[MergedCell] = []
     position = 0
@@ -548,7 +548,7 @@ def bintuner_report_from_results(workloads: Sequence[WorkloadProgram],
                                  ) -> BinTunerReport:
     """Figure 9 rows from shard results in :func:`shard_bintuner_matrix`
     order: per opt level bintuner then khaos, overhead geomean in workload
-    order — the serial drivers' row order, shared by every scheduler."""
+    order."""
     report = BinTunerReport()
     overheads: List[float] = []
     for position, workload in enumerate(workloads):
@@ -572,11 +572,12 @@ def measure_bintuner_sharded(workloads: Sequence[WorkloadProgram],
                              jobs: Optional[int] = None,
                              run_stats: Optional[ShardRunStats] = None
                              ) -> BinTunerReport:
-    """Figure 9 through binary-pair shards, bit-identical to the serial loop.
+    """Figure 9 through binary-pair shards at any ``jobs``.
 
     The merge interleaves each workload's two protection shards back into
-    the serial row order (per opt level: bintuner, then khaos) and
-    aggregates the overhead geomean in workload order.
+    per-workload row order (per opt level: bintuner, then khaos) and
+    aggregates the overhead geomean in workload order, so the report is the
+    same at every width.
     """
     shards = shard_bintuner_matrix(workloads, tuner_iterations)
     keys = [bintuner_shard_key(shard) for shard in shards]

@@ -43,6 +43,7 @@ with no worker processes at all.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import time
@@ -71,18 +72,6 @@ logger = logging.getLogger(__name__)
 #: Override with ``REPRO_MAX_POOL_FAILURES`` (chaos runs raise it to keep
 #: the pool path exercised under high crash rates).
 MAX_POOL_FAILURES = 3
-
-
-def _max_pool_failures() -> int:
-    raw = os.environ.get("REPRO_MAX_POOL_FAILURES", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return MAX_POOL_FAILURES
 
 #: Default retry budget per task (attempts = retries + 1).
 DEFAULT_TASK_RETRIES = 2
@@ -188,15 +177,30 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
 
 
 def _backoff_base() -> float:
+    """``REPRO_TASK_BACKOFF`` seconds, else :data:`DEFAULT_TASK_BACKOFF`.
+
+    ``0`` is valid (retry at once); a negative, infinite or non-numeric
+    value raises :class:`ValueError` at entry.
+    """
     raw = os.environ.get("REPRO_TASK_BACKOFF", "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_TASK_BACKOFF
+    if not raw:
+        return DEFAULT_TASK_BACKOFF
+    problem = ValueError(f"REPRO_TASK_BACKOFF must be a non-negative "
+                         f"number of seconds, got {raw!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise problem
+    if not 0 <= value < math.inf:  # also rejects nan
+        raise problem
+    return value
+
+
+def _max_pool_failures() -> int:
+    """``REPRO_MAX_POOL_FAILURES``, else :data:`MAX_POOL_FAILURES`; anything
+    but a positive integer raises :class:`ValueError` at entry."""
+    return resolve_positive_int(None, "REPRO_MAX_POOL_FAILURES",
+                                MAX_POOL_FAILURES, "max_pool_failures")
 
 
 class ExecutorTaskError(RuntimeError):
@@ -243,14 +247,17 @@ DEFAULT_WORKER_CACHE_ENTRIES = 32
 
 
 def _worker_cache_bound() -> Optional[int]:
+    """``REPRO_WORKER_CACHE_ENTRIES``, else the default; ``<= 0`` means
+    unbounded (``None``) and a non-integer raises :class:`ValueError`."""
     raw = os.environ.get("REPRO_WORKER_CACHE_ENTRIES", "").strip()
-    if raw:
-        try:
-            bound = int(raw)
-            return bound if bound > 0 else None  # <= 0 means unbounded
-        except ValueError:
-            pass
-    return DEFAULT_WORKER_CACHE_ENTRIES
+    if not raw:
+        return DEFAULT_WORKER_CACHE_ENTRIES
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_WORKER_CACHE_ENTRIES must be an integer, got {raw!r}")
+    return bound if bound > 0 else None
 
 
 def worker_cache() -> VariantCache:
@@ -386,6 +393,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
                     workers: int, timeout: Optional[float], retries: int,
+                    backoff: float, failure_limit: int,
                     on_result: Optional[Callable[[int, Result], None]]
                     ) -> List[Result]:
     """The supervision loop: per-task futures, retry, kill, respawn.
@@ -395,7 +403,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     start — which is what makes the timeout meaningful without any
     cooperation from the task function.
     """
-    backoff = _backoff_base()
     jitter = random.Random()  # timing only; results never depend on it
     total = len(tasks)
     results: Dict[int, Result] = {}
@@ -403,7 +410,6 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     inflight: Dict[object, Tuple[int, int, float]] = {}
     pool: Optional[ProcessPoolExecutor] = None
     pool_failures = 0
-    failure_limit = _max_pool_failures()
 
     def record(index: int, value: Result) -> None:
         results[index] = value
@@ -414,7 +420,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
         nonlocal pool
         if pool is not None:
             obs_metrics.counter("executor.pool_respawns")
-            obs_tracing.event("executor.pool_respawn", cat="coordinate",
+            obs_tracing.event("executor.pool_respawn", cat="schedule",
                               consecutive_failures=pool_failures)
             _kill_pool(pool)
             pool = None
@@ -435,7 +441,7 @@ def _run_supervised(task_fn: Callable[[Task], Result], tasks: List[Task],
     def run_serially() -> None:
         """Graceful degradation: finish the remaining tasks in-process."""
         obs_metrics.counter("executor.serial_degradations")
-        obs_tracing.event("executor.serial_degradation", cat="coordinate",
+        obs_tracing.event("executor.serial_degradation", cat="schedule",
                           remaining=len(pending) + len(inflight))
         logger.warning(
             "executor: %d consecutive pool failures; finishing %d task(s) "
@@ -580,6 +586,8 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
     jobs = resolve_jobs(jobs)
     effective_timeout = resolve_task_timeout(timeout)
     effective_retries = resolve_task_retries(retries)
+    backoff = _backoff_base()
+    failure_limit = _max_pool_failures()
     if jobs <= 1 or len(tasks) <= 1:
         results = []
         for index, task in enumerate(tasks):
@@ -590,4 +598,5 @@ def run_tasks(task_fn: Callable[[Task], Result], tasks: Iterable[Task],
         return results
     workers = min(jobs, len(tasks))
     return _run_supervised(task_fn, tasks, workers, effective_timeout,
-                           effective_retries, on_result)
+                           effective_retries, backoff, failure_limit,
+                           on_result)

@@ -10,17 +10,19 @@ columns are directly comparable between baseline and obfuscated builds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.variant_cache import VariantCache, variant_key
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..opt.pass_manager import OptOptions
 from ..toolchain import (KHAOS_LABELS, build_baseline, build_obfuscated,
-                         obfuscator_for, overhead_percent)
+                         obfuscator_for)
 from ..utils import geometric_mean
 from ..vm.machine import run_program
 from ..workloads.suites import WorkloadProgram, spec2006_programs, spec2017_programs
+from .checkpoint import ShardRunStats, run_checkpointed
+from .executor import parallel_matrix, worker_cache
 
 
 @dataclass
@@ -100,6 +102,72 @@ def build_variant(workload: WorkloadProgram, label: str,
                               traced_builder)
 
 
+def measure_workload(workload: WorkloadProgram, labels: Sequence[str],
+                     options: Optional[OptOptions] = None,
+                     cache: Optional[VariantCache] = None) -> List[OverheadRow]:
+    """One workload's row of the matrix: the unit of Figures 6/7.
+
+    Builds the baseline and every ``labels`` variant through ``cache`` and
+    executes each once in the VM; the baseline's cycle count is shared by
+    every row.  The serial loop calls it with the caller's cache, the
+    ``jobs > 1`` shard task with the worker's store-backed cache.
+    """
+    def cycles(label: str, artifact) -> int:
+        with obs_tracing.span("vm.measure", cat="measure",
+                              workload=workload.name, label=label):
+            return run_program(artifact.program).cycles
+
+    baseline_cycles = cycles(
+        "baseline", build_variant(workload, "baseline", options, cache))
+    return [OverheadRow(program=workload.name, suite=workload.suite,
+                        label=label, baseline_cycles=baseline_cycles,
+                        cycles=cycles(label, build_variant(
+                            workload, label, options, cache)))
+            for label in labels]
+
+
+#: One unit of parallel work: a workload with its full label row.
+OverheadShard = Tuple[WorkloadProgram, Tuple[str, ...], Optional[OptOptions]]
+
+
+def _overhead_shard(shard: OverheadShard) -> List[OverheadRow]:
+    """Executor entry point: one workload's rows via the worker's cache."""
+    workload, labels, options = shard
+    with obs_tracing.span("shard.fig67", cat="measure",
+                          workload=workload.name, labels=len(labels)):
+        return measure_workload(workload, labels, options, worker_cache())
+
+
+def measure_overhead_sharded(workloads: Sequence[WorkloadProgram],
+                             labels: Sequence[str],
+                             options: Optional[OptOptions] = None,
+                             jobs: Optional[int] = None,
+                             run_stats: Optional[ShardRunStats] = None
+                             ) -> OverheadReport:
+    """The figure-6/7 matrix through the checkpointed scheduler.
+
+    One shard per workload, in workload order, each carrying the whole label
+    row, so a workload's builds never split across workers.  The per-shard
+    rows are concatenated in shard order: bit-identical to the serial
+    :func:`measure_overhead` loop at any ``jobs``.
+
+    With a shared store attached, every finished shard's row list is
+    journaled under its value-based key (kind ``"shard"``); the run identity
+    does not depend on ``jobs``, so a run restarted at any width over the
+    same tree re-executes only unfinished workloads (``run_stats`` reports
+    the resume accounting).
+    """
+    shards = [(workload, tuple(labels), options) for workload in workloads]
+    keys = [("fig67shard", variant_key(workload, "baseline", options),
+             tuple(labels)) for workload in workloads]
+    report = OverheadReport()
+    for rows in run_checkpointed(_overhead_shard, shards, keys,
+                                 ("fig67", tuple(keys)), jobs=jobs,
+                                 stats=run_stats):
+        report.rows.extend(rows)
+    return report
+
+
 def measure_overhead(workloads: Sequence[WorkloadProgram],
                      labels: Sequence[str] = KHAOS_LABELS,
                      options: Optional[OptOptions] = None,
@@ -111,29 +179,19 @@ def measure_overhead(workloads: Sequence[WorkloadProgram],
     phase (obfuscate → optimize → lower) for variants already built by an
     earlier experiment; the VM measurement still executes every variant.
 
-    ``jobs > 1`` (or ``REPRO_JOBS``) shards the matrix one-workload-per-task
-    across worker processes (see :mod:`repro.evaluation.sharding`); workers
-    build through their own store-backed caches, so a passed ``cache``
-    applies to serial runs only — and an *explicit* ``cache`` is never
-    overridden by the ambient ``REPRO_JOBS`` (only an explicit ``jobs``
-    argument engages the executor then).  Row order and row contents are
-    identical either way; the serial loop remains the default and the
-    differential reference.
+    ``jobs > 1`` (or ``REPRO_JOBS``) runs the same per-workload unit
+    (:func:`measure_workload`) one task per workload across worker processes
+    (:func:`measure_overhead_sharded`); workers build through their own
+    store-backed caches, so a passed ``cache`` applies to serial runs only —
+    and an *explicit* ``cache`` is never overridden by the ambient
+    ``REPRO_JOBS`` (only an explicit ``jobs`` argument engages the executor
+    then).  Row order and row contents are identical either way.
     """
-    from .executor import parallel_matrix
     if parallel_matrix(jobs, cache):
-        from .sharding import measure_overhead_sharded
         return measure_overhead_sharded(workloads, labels, options, jobs=jobs)
     report = OverheadReport()
     for workload in workloads:
-        baseline = build_variant(workload, "baseline", options, cache)
-        baseline_cycles = run_program(baseline.program).cycles
-        for label in labels:
-            variant = build_variant(workload, label, options, cache)
-            report.rows.append(OverheadRow(
-                program=workload.name, suite=workload.suite, label=label,
-                baseline_cycles=baseline_cycles,
-                cycles=run_program(variant.program).cycles))
+        report.rows.extend(measure_workload(workload, labels, options, cache))
     return report
 
 

@@ -1,9 +1,8 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
 The registry is the single home for every runtime counter in the pipeline;
-the older ad-hoc surfaces (``ArtifactStore.stats()``, the ``VMBatch``
-attributes, ``worker_cache_events()``, ``ShardRunStats``) are façades over
-it.  Design constraints, in order:
+the older ad-hoc surfaces (``ArtifactStore.stats()``,
+``worker_cache_events()``, ``ShardRunStats``) are façades over it.  Design constraints, in order:
 
 1. **cheap enough to leave on** — an increment is one dict ``get`` + add on
    a plain ``dict``; no locks (CPython dict ops are atomic enough for the

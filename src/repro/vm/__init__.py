@@ -1,6 +1,5 @@
 """Deterministic IR interpreter and cycle cost model."""
 
-from .batch import VMBatch, run_batch
 from .costs import CostModel, DEFAULT_COST_MODEL, REGISTER_ARG_SLOTS
 from .machine import (DISPATCH_TIERS, ExecutionError, ExecutionResult,
                       FuncPointer, Interpreter, Pointer, StepLimitExceeded,
@@ -9,5 +8,5 @@ from .machine import (DISPATCH_TIERS, ExecutionError, ExecutionResult,
 __all__ = [
     "CostModel", "DEFAULT_COST_MODEL", "DISPATCH_TIERS", "REGISTER_ARG_SLOTS",
     "ExecutionError", "ExecutionResult", "FuncPointer", "Interpreter",
-    "Pointer", "StepLimitExceeded", "VMBatch", "run_batch", "run_program",
+    "Pointer", "StepLimitExceeded", "run_program",
 ]

@@ -25,10 +25,9 @@ REGISTER_ARG_SLOTS = 6
 class CostModel:
     """Per-instruction-class cycle costs.
 
-    Frozen: compiled blocks and :class:`~repro.vm.batch.VMBatch` memos
-    both bake these costs into precomputed totals, so mutating a shared
-    model mid-batch would silently desynchronise memoised results from
-    fresh runs.  Build a new model (e.g. ``dataclasses.replace``) instead of
+    Frozen: compiled blocks bake these costs into precomputed totals, so
+    mutating a shared model mid-run would silently desynchronise a reused
+    interpreter's results from fresh runs.  Build a new model (e.g. ``dataclasses.replace``) instead of
     mutating one.
     """
     arithmetic: int = 1

@@ -736,8 +736,7 @@ def run_program(program: Program, inputs: Optional[Sequence[int]] = None,
     the interpreter; left in place, every call would leave thousands of
     objects in a reference cycle for the cyclic collector to find.  With
     them gone, reference counting frees the whole interpreter.  Reusable
-    interpreters (:meth:`Interpreter.run_many`,
-    :class:`~repro.vm.batch.VMBatch`) keep theirs warm.
+    interpreters (:meth:`Interpreter.run_many`) keep theirs warm.
     """
     interpreter = Interpreter(program, cost_model=cost_model,
                               max_steps=max_steps, inputs=inputs,

@@ -19,7 +19,7 @@ from repro.evaluation.diff_sharding import (DiffShardStats,
                                             measure_precision_sharded)
 from repro.evaluation.executor import reset_worker_cache
 from repro.evaluation.precision import measure_precision
-from repro.evaluation.sharding import measure_overhead_sharded
+from repro.evaluation.overhead import measure_overhead_sharded
 from repro.store import KIND_SHARD, ArtifactStore, store_digest
 from repro.workloads.suites import spec2006_programs
 
@@ -243,3 +243,74 @@ class TestMatrixResume:
     def _overhead_rows(self, report):
         return [(r.program, r.suite, r.label, r.baseline_cycles, r.cycles)
                 for r in report.rows]
+
+
+class TestCrossWidthResume:
+    """The run identity does not include ``jobs``: a completed run at one
+    width is fully resumed by a rerun at the other, with identical rows."""
+
+    @staticmethod
+    def _rerun(driver, cold_jobs, warm_jobs):
+        cold, warm = ShardRunStats(), ShardRunStats()
+        reset_worker_cache()
+        first = driver(cold_jobs, cold)
+        assert cold.executed == cold.planned > 0
+        reset_worker_cache()
+        second = driver(warm_jobs, warm)
+        assert warm.executed == 0
+        assert warm.resumed == warm.planned == cold.planned
+        return first, second
+
+    @pytest.mark.parametrize("cold_jobs, warm_jobs", [(1, 2), (2, 1)])
+    def test_fig8(self, tmp_store, cold_jobs, warm_jobs):
+        from repro.diffing import all_differs
+        differs = all_differs()[:1]
+
+        def driver(jobs, stats):
+            return measure_precision_sharded(
+                WORKLOADS, labels=LABELS, differs=differs, jobs=jobs,
+                run_stats=stats)
+
+        first, second = self._rerun(driver, cold_jobs, warm_jobs)
+        assert first.rows == second.rows
+        assert first.rows == measure_precision(WORKLOADS, labels=LABELS,
+                                               differs=differs).rows
+
+    @pytest.mark.parametrize("cold_jobs, warm_jobs", [(1, 2), (2, 1)])
+    def test_fig67(self, tmp_store, cold_jobs, warm_jobs):
+        from repro.evaluation.overhead import measure_overhead
+        workloads = spec2006_programs()[:2]  # two shards: a real pool
+
+        def driver(jobs, stats):
+            return measure_overhead_sharded(workloads, labels=LABELS,
+                                            jobs=jobs, run_stats=stats)
+
+        first, second = self._rerun(driver, cold_jobs, warm_jobs)
+        assert first.rows == second.rows
+        assert first.rows == measure_overhead(workloads, labels=LABELS).rows
+
+    @pytest.mark.parametrize("cold_jobs, warm_jobs", [(1, 2), (2, 1)])
+    def test_fig9(self, tmp_store, cold_jobs, warm_jobs):
+        from repro.evaluation.diff_sharding import measure_bintuner_sharded
+
+        def driver(jobs, stats):
+            return measure_bintuner_sharded(WORKLOADS, tuner_iterations=1,
+                                            jobs=jobs, run_stats=stats)
+
+        first, second = self._rerun(driver, cold_jobs, warm_jobs)
+        assert first.rows == second.rows
+        assert (first.bintuner_overhead_percent
+                == second.bintuner_overhead_percent)
+
+    def test_serial_fig9_journals(self, tmp_store):
+        """``measure_bintuner`` at ``jobs=1`` goes through the checkpointed
+        scheduler too: a ``jobs=2`` rerun executes nothing."""
+        from repro.evaluation.bintuner_compare import measure_bintuner
+        from repro.evaluation.diff_sharding import measure_bintuner_sharded
+        serial = measure_bintuner(WORKLOADS, tuner_iterations=1, jobs=1)
+        reset_worker_cache()
+        stats = ShardRunStats()
+        rerun = measure_bintuner_sharded(WORKLOADS, tuner_iterations=1,
+                                         jobs=2, run_stats=stats)
+        assert stats.executed == 0 and stats.resumed == stats.planned > 0
+        assert rerun.rows == serial.rows

@@ -1,7 +1,8 @@
 """Function-granularity diff sharding: contract, merge identity, store reuse.
 
-The serial drivers (``measure_precision``/``measure_escape``/
-``measure_bintuner``) are the differential references; the sharded scheduler
+The serial cell loops (``measure_precision``/``measure_escape``) and Figure
+9's whole-workload loop (``tests/bintuner_oracle.py``) are the differential
+references; the sharded scheduler
 (:mod:`repro.evaluation.diff_sharding`) must reproduce their reports
 bit-for-bit from any partition, serially or across processes, cold or over a
 warm shared store — and a warm store must serve every unit without scoring a
@@ -26,6 +27,7 @@ from repro.evaluation.executor import reset_worker_cache
 from repro.store import KIND_FEATURES, ArtifactStore
 from repro.toolchain import build_baseline, build_obfuscated, obfuscator_for
 from repro.workloads.suites import embedded_programs, spec2006_programs
+from tests.bintuner_oracle import serial_bintuner_report
 from tests.conftest import build_demo_program
 
 WORKLOADS = spec2006_programs()[:2]
@@ -277,7 +279,7 @@ class TestEscapeSharded:
 
 class TestBinTunerSharded:
     def test_sharded_bintuner_equals_the_reference(self):
-        serial = measure_bintuner(WORKLOADS[:1], tuner_iterations=1)
+        serial = serial_bintuner_report(WORKLOADS[:1], tuner_iterations=1)
         sharded = measure_bintuner_sharded(WORKLOADS[:1], tuner_iterations=1,
                                            jobs=1)
         parallel = measure_bintuner_sharded(WORKLOADS[:1], tuner_iterations=1,
@@ -286,3 +288,13 @@ class TestBinTunerSharded:
         assert (sharded.bintuner_overhead_percent
                 == serial.bintuner_overhead_percent
                 == parallel.bintuner_overhead_percent)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_measure_bintuner_equals_the_serial_oracle(self, jobs):
+        """The public driver runs the shards at every width, yet reports
+        exactly what the whole-workload serial loop did."""
+        oracle = serial_bintuner_report(WORKLOADS, tuner_iterations=1)
+        report = measure_bintuner(WORKLOADS, tuner_iterations=1, jobs=jobs)
+        assert report.rows == oracle.rows
+        assert (report.bintuner_overhead_percent
+                == oracle.bintuner_overhead_percent)

@@ -154,6 +154,41 @@ class TestSupervisorKnobs:
         with pytest.raises(ValueError, match="retries"):
             resolve_task_retries(2.5)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_max_pool_failures_rejects_garbage(self, monkeypatch, raw):
+        """A bad value raises at entry instead of falling back to 3."""
+        monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", raw)
+        with pytest.raises(ValueError, match="REPRO_MAX_POOL_FAILURES"):
+            run_tasks(_square, [1, 2], jobs=1)
+        monkeypatch.setenv("REPRO_MAX_POOL_FAILURES", "7")
+        assert run_tasks(_square, [1, 2], jobs=1) == [1, 4]
+
+    @pytest.mark.parametrize("raw", ["abc", "-0.5", "nan", "inf"])
+    def test_backoff_rejects_garbage(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_TASK_BACKOFF", raw)
+        with pytest.raises(ValueError, match="REPRO_TASK_BACKOFF"):
+            run_tasks(_square, [1, 2], jobs=1)
+        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0")
+        assert run_tasks(_square, [1, 2], jobs=1) == [1, 4]
+
+    def test_worker_cache_entries_rejects_non_integer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_STORE_URL", raising=False)
+        monkeypatch.setenv("REPRO_WORKER_CACHE_ENTRIES", "lots")
+        reset_worker_cache()
+        try:
+            with pytest.raises(ValueError,
+                               match="REPRO_WORKER_CACHE_ENTRIES"):
+                worker_cache()
+            # the documented "<= 0 means unbounded" still holds
+            monkeypatch.setenv("REPRO_WORKER_CACHE_ENTRIES", "0")
+            assert worker_cache().max_entries is None
+            reset_worker_cache()
+            monkeypatch.setenv("REPRO_WORKER_CACHE_ENTRIES", "5")
+            assert worker_cache().max_entries == 5
+        finally:
+            reset_worker_cache()
+
 
 class TestSupervisedFailureModes:
     """The failure modes the supervised scheduler exists for."""
@@ -317,8 +352,9 @@ class TestWarmStoreParallelDiffing:
 
     def test_bintuner_jobs2_over_warm_store_equals_serial(self, tmp_store):
         from repro.evaluation import measure_bintuner, measure_bintuner_sharded
+        from tests.bintuner_oracle import serial_bintuner_report
         workloads = spec2006_programs()[:2]
-        serial = measure_bintuner(workloads, tuner_iterations=1)
+        serial = serial_bintuner_report(workloads, tuner_iterations=1)
         cold = measure_bintuner_sharded(workloads, tuner_iterations=1, jobs=1)
         reset_worker_cache()
         warm = measure_bintuner(workloads, tuner_iterations=1, jobs=2)

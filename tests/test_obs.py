@@ -308,15 +308,6 @@ class TestFacades:
         events = [r for r in tracing.drain() if r.get("type") == "event"]
         assert any(e["name"] == "store.quarantine" for e in events)
 
-    def test_vmbatch_counters(self, demo_program):
-        from repro.vm.batch import VMBatch
-
-        batch = VMBatch()
-        batch.run(demo_program)
-        batch.run(demo_program)
-        assert batch.executions == 1
-        assert batch.interpreters == 1
-        assert batch.memo_hits == 1
 
 
 # -- end-to-end: traced runs stay bit-identical ---------------------------------------

@@ -6,12 +6,9 @@ order, same cycle counts), and workers attached to a warm shared store must
 rebuild nothing.
 """
 
-import pytest
-
 from repro.core.variant_cache import VariantCache
 from repro.evaluation import (figure6, figure7, measure_overhead,
-                              measure_overhead_sharded, shard_overhead_matrix)
-from repro.evaluation.sharding import ShardBatch
+                              measure_overhead_sharded)
 from repro.store import KIND_VARIANT, ArtifactStore
 from repro.workloads.suites import spec2006_programs
 
@@ -24,68 +21,48 @@ def _rows(report):
             for r in report.rows]
 
 
+def _captured_shards(monkeypatch, workloads, labels):
+    """The shard list ``measure_overhead_sharded`` hands the scheduler."""
+    from repro.evaluation import overhead
+    captured = []
+
+    def capture(task_fn, tasks, *args, **kwargs):
+        captured.extend(tasks)
+        return [[] for _ in tasks]
+
+    monkeypatch.setattr(overhead, "run_checkpointed", capture)
+    measure_overhead_sharded(workloads, labels)
+    return captured
+
+
 class TestDeterministicPartitioning:
-    def test_one_shard_per_workload_in_order(self):
-        shards = shard_overhead_matrix(WORKLOADS, LABELS)
+    def test_one_shard_per_workload_in_order(self, monkeypatch):
+        shards = _captured_shards(monkeypatch, WORKLOADS, LABELS)
         assert [shard[0].name for shard in shards] == \
                [wp.name for wp in WORKLOADS]
         assert all(shard[1] == LABELS for shard in shards)
 
-    def test_partition_is_reproducible(self):
-        assert (shard_overhead_matrix(WORKLOADS, LABELS)
-                == shard_overhead_matrix(WORKLOADS, LABELS))
+    def test_partition_is_reproducible(self, monkeypatch):
+        assert (_captured_shards(monkeypatch, WORKLOADS, LABELS)
+                == _captured_shards(monkeypatch, WORKLOADS, LABELS))
 
 
-class TestShardBatch:
-    def test_one_vm_execution_per_distinct_variant(self):
-        batch = ShardBatch(WORKLOADS[0], None, VariantCache())
-        rows = batch.rows(LABELS)
-        assert len(rows) == len(LABELS)
-        # one VM execution per distinct variant: baseline + each label
-        assert batch.vm.executions == len(LABELS) + 1
-        assert batch.vm.memo_hits == 0
-        # re-measuring a label through the same batch reuses the execution
-        batch.execute(LABELS[0])
-        assert batch.vm.executions == len(LABELS) + 1
-        assert batch.vm.memo_hits == 1
-
-    def test_vmbatch_never_serves_stale_results_for_recycled_ids(self):
-        """The memo must hold its programs strongly: after a caller drops a
-        measured program, CPython may hand its id() to the next build — a
-        bare-id memo would then return the dead program's result."""
-        from repro.vm.batch import VMBatch
-        batch = VMBatch()
-        cycles = set()
-        for _ in range(5):
-            program = WORKLOADS[0].build()
-            cycles.add(batch.run(program).cycles)
-            del program  # the old id would be free for recycling
-        assert batch.executions == 5 and batch.memo_hits == 0
-        assert len(cycles) == 1  # deterministic builds, fresh runs each time
-
-    def test_run_batch_deduplicates_repeated_programs(self):
-        from repro.vm.batch import run_batch
+class TestMeasureWorkload:
+    def test_one_vm_run_per_distinct_variant(self, monkeypatch):
+        """The baseline runs once and its cycles back every row."""
+        from repro.evaluation import overhead
         from repro.vm.machine import run_program
-        program = WORKLOADS[0].build()
-        results = run_batch([program, program])
-        assert results[0] is results[1]
-        reference = run_program(WORKLOADS[0].build())
-        assert results[0].observable() == reference.observable()
-        assert results[0].cycles == reference.cycles
+        runs = []
 
-    @pytest.mark.parametrize("kwargs", [
-        {},
-        {"input_sets": ((), ()), "dispatch": "legacy"},
-        {"input_sets": ((), ()), "dispatch": "compiled"},
-    ], ids=["default", "two-inputs-legacy", "two-inputs-compiled"])
-    def test_rows_match_serial_driver(self, kwargs):
-        serial = measure_overhead(WORKLOADS[:1], labels=LABELS)
-        batch = ShardBatch(WORKLOADS[0], None, VariantCache(), **kwargs)
-        assert batch.rows(LABELS) == serial.rows
-        # one interpreter per distinct variant runs the whole input batch
-        runs = len(kwargs.get("input_sets", ((),)))
-        assert batch.vm.interpreters == len(LABELS) + 1
-        assert batch.vm.executions == runs * (len(LABELS) + 1)
+        def counted(program, *args, **kwargs):
+            runs.append(program)
+            return run_program(program, *args, **kwargs)
+
+        monkeypatch.setattr(overhead, "run_program", counted)
+        rows = overhead.measure_workload(WORKLOADS[0], LABELS)
+        assert len(rows) == len(LABELS)
+        assert len(runs) == len(LABELS) + 1
+        assert len({row.baseline_cycles for row in rows}) == 1
 
 
 class TestShardedBitIdentity:

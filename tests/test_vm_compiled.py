@@ -18,8 +18,7 @@ from repro.analysis.manager import PRESERVE_ALL, AnalysisManager
 from repro.baselines import ControlFlowFlattening
 from repro.core.obfuscator import obfuscate
 from repro.opt.pipelines import optimize_program
-from repro.vm import (DISPATCH_TIERS, Interpreter, StepLimitExceeded, VMBatch,
-                      run_program)
+from repro.vm import DISPATCH_TIERS, Interpreter, StepLimitExceeded, run_program
 from repro.vm.machine import ExecutionError
 from repro.workloads.suites import load_suite, suite_names
 from repro.ir import (FunctionType, IRBuilder, Module, Program,
@@ -109,9 +108,9 @@ class TestEveryWorkload:
     @pytest.mark.parametrize("workload", list(all_workloads()),
                              ids=lambda wp: f"{wp.suite}-{wp.name}")
     def test_warm_rerun_identical_on_workload(self, workload, dispatch):
-        """A rerun on one interpreter (what ``VMBatch`` does for every
-        measured program) starts from ``reset`` with the first run's
-        compiled blocks kept; it must still match a fresh legacy run."""
+        """A rerun on one interpreter (``Interpreter.run_many``) starts
+        from ``reset`` with the first run's compiled blocks kept; it must
+        still match a fresh legacy run."""
         reference = result_tuple(run_program(workload.build(),
                                              dispatch="legacy"))
         interp = Interpreter(workload.build(), dispatch=dispatch)
@@ -181,24 +180,6 @@ class TestBatchedRunMany:
         interp = Interpreter(input_sum_program(), dispatch=dispatch)
         got = [result_tuple(r) for r in interp.run_many(input_sets)]
         assert got == references
-
-    def test_vmbatch_run_many_memoises_input_batches(self, dispatch):
-        program = input_sum_program()
-        sets = ((1, 2, 3), (4, 5))
-        batch = VMBatch(dispatch=dispatch)
-        first = batch.run_many(program, sets)
-        again = batch.run_many(program, sets)
-        assert batch.interpreters == 1
-        assert batch.executions == len(sets)
-        assert batch.memo_hits == 1
-        assert [r.cycles for r in first] == [r.cycles for r in again]
-        for inputs, result in zip(sets, first):
-            reference = run_program(input_sum_program(), inputs=inputs,
-                                    dispatch="legacy")
-            assert result_tuple(result) == result_tuple(reference)
-        # a different input batch is a different measurement
-        batch.run_many(program, ((9,),))
-        assert batch.executions == len(sets) + 1
 
 
 class TestEdgeSemantics:
